@@ -22,7 +22,8 @@ void print_figure(bench::Reporter& reporter) {
   const trace::Trace data = bench::make_trace(20000);
   const auto jobs = core::build_all_dag_jobs(data, trace::SamplingCriteria{});
   std::cout << "filtered DAG jobs: " << jobs.size() << "\n\n";
-  const auto report = core::ConflationReport::compute(jobs);
+  const auto report = core::ConflationReport::compute(
+      jobs, bench::unit_counts(jobs.size()));
   core::print_conflation_report(std::cout, report);
 
   const double small_before = report.before.fraction(2) + report.before.fraction(3);

@@ -23,7 +23,8 @@ void print_figure(bench::Reporter& reporter) {
   (void)reporter;
   bench::banner("Fig 4", "job features before node conflation");
   const auto sample = bench::make_experiment_set();
-  const auto report = core::StructuralReport::compute(sample);
+  const auto report = core::StructuralReport::compute(
+      sample, bench::unit_counts(sample.size()));
   core::print_structural_report(std::cout, report,
                                 "Fig 4: job features before node conflation");
 
@@ -48,7 +49,8 @@ void print_figure(bench::Reporter& reporter) {
 void BM_StructuralFeatures(benchmark::State& state) {
   const auto sample = bench::make_experiment_set();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::StructuralReport::compute(sample));
+    benchmark::DoNotOptimize(core::StructuralReport::compute(
+        sample, bench::unit_counts(sample.size())));
   }
 }
 BENCHMARK(BM_StructuralFeatures)->Unit(benchmark::kMicrosecond);

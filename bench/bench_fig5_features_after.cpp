@@ -30,7 +30,8 @@ void print_figure(bench::Reporter& reporter) {
     depth_preserved += graph::critical_path_length(conflated.back().dag) ==
                        graph::critical_path_length(job.dag);
   }
-  const auto report = core::StructuralReport::compute(conflated);
+  const auto report = core::StructuralReport::compute(
+      conflated, bench::unit_counts(conflated.size()));
   core::print_structural_report(std::cout, report,
                                 "Fig 5: job features after node conflation");
   std::cout << "\njobs whose critical path survived conflation: "
@@ -43,7 +44,8 @@ void BM_ConflateThenFeatures(benchmark::State& state) {
     std::vector<core::JobDag> conflated;
     conflated.reserve(sample.size());
     for (const auto& job : sample) conflated.push_back(core::conflate_job(job));
-    benchmark::DoNotOptimize(core::StructuralReport::compute(conflated));
+    benchmark::DoNotOptimize(core::StructuralReport::compute(
+        conflated, bench::unit_counts(conflated.size())));
   }
 }
 BENCHMARK(BM_ConflateThenFeatures)->Unit(benchmark::kMicrosecond);

@@ -22,7 +22,8 @@ void print_figure(bench::Reporter& reporter) {
   (void)reporter;
   bench::banner("Fig 6", "distribution of Map-Join-Reduce tasks");
   const auto sample = bench::make_experiment_set();
-  const auto report = core::TaskTypeReport::compute(sample);
+  const auto report = core::TaskTypeReport::compute(
+      sample, bench::unit_counts(sample.size()));
   core::print_task_type_report(std::cout, report);
 
   // The paper's chain observation, measured on this set.
@@ -44,7 +45,8 @@ void print_figure(bench::Reporter& reporter) {
 void BM_TaskTypeReport(benchmark::State& state) {
   const auto sample = bench::make_experiment_set();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::TaskTypeReport::compute(sample));
+    benchmark::DoNotOptimize(core::TaskTypeReport::compute(
+        sample, bench::unit_counts(sample.size())));
   }
 }
 BENCHMARK(BM_TaskTypeReport)->Unit(benchmark::kMicrosecond);

@@ -3,9 +3,9 @@
 //   1. throughput — >= 100k synthetic jobs cluster end-to-end in seconds,
 //      with memory bounded by DISTINCT shapes (no n x n Gram is ever
 //      allocated; the exact path would need ~75 GB for the same corpus),
-//   2. fidelity — both backends (mini-batch k-means, landmark spectral)
-//      agree with the exact sampled spectral pipeline on a shared uniform
-//      job subsample at ARI >= 0.8 (check.sh gates this via bench_diff
+//   2. fidelity — count-weighted mini-batch k-means agrees with the exact
+//      sampled spectral pipeline on a shared uniform job subsample at
+//      ARI >= 0.8 (check.sh gates this via bench_diff
 //      --min-bar 'agreement_ari_*=0.8').
 
 #include <benchmark/benchmark.h>
@@ -14,7 +14,6 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "cluster/scale.hpp"
 #include "core/pipeline.hpp"
 #include "obs/stopwatch.hpp"
 #include "util/strings.hpp"
@@ -25,11 +24,8 @@ using namespace cwgl;
 namespace {
 
 core::FullTraceResult run_once(const trace::Trace& data,
-                               cluster::ScaleMethod method,
                                util::ThreadPool* pool) {
-  core::PipelineConfig cfg;
-  cfg.full_method = method;
-  const core::CharacterizationPipeline pipeline(cfg);
+  const core::CharacterizationPipeline pipeline{core::PipelineConfig{}};
   return pipeline.run_full(data, pool);
 }
 
@@ -44,14 +40,9 @@ void print_figure(bench::Reporter& reporter) {
   core::FullTraceResult mb;
   const double minibatch_ms = reporter.time(
       "full_minibatch_ms",
-      [&] { mb = run_once(data, cluster::ScaleMethod::MiniBatch, &pool); });
+      [&] { mb = run_once(data, &pool); });
   const double jobs_per_s =
       static_cast<double>(mb.total_jobs()) / (minibatch_ms / 1000.0);
-
-  core::FullTraceResult lm;
-  const double landmark_ms = reporter.time(
-      "full_landmark_ms",
-      [&] { lm = run_once(data, cluster::ScaleMethod::Landmark, &pool); });
 
   std::cout << "jobs clustered: " << mb.total_jobs() << " ("
             << mb.table.size() << " distinct shapes, ratio "
@@ -64,23 +55,14 @@ void print_figure(bench::Reporter& reporter) {
             << " kjobs/s), ARI vs exact "
             << util::format_double(mb.agreement.ari, 3) << " on "
             << mb.agreement.items << " jobs\n"
-            << "landmark:      " << util::format_double(landmark_ms, 1)
-            << " ms  (" << lm.landmarks << " landmarks, "
-            << lm.embedding_dims << " dims"
-            << (lm.degraded ? ", DEGRADED to mini-batch" : "")
-            << "), ARI vs exact "
-            << util::format_double(lm.agreement.ari, 3) << "\n"
-            << "acceptance bar: ARI >= 0.8 for both backends\n";
+            << "acceptance bar: ARI >= 0.8\n";
 
   reporter.set("dag_jobs", static_cast<double>(mb.total_jobs()), "jobs");
   reporter.set("distinct_shapes", static_cast<double>(mb.table.size()),
                "shapes");
   reporter.set("minibatch_jobs_per_s", jobs_per_s, "jobs/s");
   reporter.set("agreement_ari_minibatch", mb.agreement.ari, "ari");
-  reporter.set("agreement_ari_landmark", lm.agreement.ari, "ari");
   reporter.set("agreement_nmi_minibatch", mb.agreement.nmi, "nmi");
-  reporter.set("agreement_nmi_landmark", lm.agreement.nmi, "nmi");
-  reporter.set("landmark_degraded", lm.degraded ? 1.0 : 0.0, "bool");
 }
 
 void BM_FullTraceMiniBatch(benchmark::State& state) {
@@ -88,22 +70,10 @@ void BM_FullTraceMiniBatch(benchmark::State& state) {
       bench::make_trace(static_cast<std::size_t>(state.range(0)));
   util::ThreadPool pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_once(data, cluster::ScaleMethod::MiniBatch, &pool));
+    benchmark::DoNotOptimize(run_once(data, &pool));
   }
 }
 BENCHMARK(BM_FullTraceMiniBatch)->Arg(20000)->Unit(benchmark::kMillisecond);
-
-void BM_FullTraceLandmark(benchmark::State& state) {
-  const trace::Trace data =
-      bench::make_trace(static_cast<std::size_t>(state.range(0)));
-  util::ThreadPool pool;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_once(data, cluster::ScaleMethod::Landmark, &pool));
-  }
-}
-BENCHMARK(BM_FullTraceLandmark)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

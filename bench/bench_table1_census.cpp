@@ -27,7 +27,8 @@ void print_figure(bench::Reporter& reporter) {
   std::cout << "  (paper: ~50% of jobs, 70-80% of resources)\n\n";
 
   const auto jobs = core::build_all_dag_jobs(data, trace::SamplingCriteria{});
-  const auto patterns = core::PatternCensus::compute(jobs);
+  const auto patterns = core::PatternCensus::compute(
+      jobs, bench::unit_counts(jobs.size()));
   core::print_pattern_census(std::cout, patterns);
   std::cout << "  (paper: straight chain 58%, inverted triangle 37%)\n\n";
 
@@ -69,7 +70,8 @@ void BM_PatternCensus(benchmark::State& state) {
   const trace::Trace data = bench::make_trace(10000);
   const auto jobs = core::build_all_dag_jobs(data, trace::SamplingCriteria{});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::PatternCensus::compute(jobs));
+    benchmark::DoNotOptimize(core::PatternCensus::compute(
+        jobs, bench::unit_counts(jobs.size())));
   }
   state.counters["jobs"] = static_cast<double>(jobs.size());
 }

@@ -70,6 +70,12 @@ inline std::vector<core::JobDag> make_experiment_set(
 
 /// Section header so `for b in bench/*; do $b; done` output reads as a
 /// figure-by-figure report.
+/// A count of 1 per job: the multiplicities to pass the count-weighted
+/// reports (core::StructuralReport etc.) for a plain job list.
+inline std::vector<std::uint64_t> unit_counts(std::size_t jobs) {
+  return std::vector<std::uint64_t>(jobs, 1);
+}
+
 inline void banner(const char* experiment_id, const char* description) {
   std::cout << "\n############################################################\n"
             << "# " << experiment_id << ": " << description << "\n"

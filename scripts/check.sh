@@ -27,12 +27,12 @@
 #   reloads, and completed telemetry exports; --max-bar on the sustained
 #   shed fraction, reload errors, the drain exit code, and the telemetry
 #   overhead (exporter + logging must cost < 2% sustained throughput)
-# — plus the fulltrace-smoke pass: `cwgl characterize --full` (both the
-#   mini-batch and landmark backends) on a generated multi-thousand-job
-#   trace with a hard ARI >= 0.8 gate against the exact sampled pipeline,
-#   a `fit --full` -> `predict` round-trip, and bench_full_cluster diffed
-#   against bench/baselines/BENCH_full_cluster.json with --min-bar floors
-#   on both agreement ARIs
+# — plus the fulltrace-smoke pass: `cwgl characterize --full` (mini-batch
+#   k-means) on a generated multi-thousand-job trace with a hard ARI >= 0.8
+#   gate against the exact sampled pipeline, a `fit --full` -> `predict`
+#   round-trip, and bench_full_cluster diffed against
+#   bench/baselines/BENCH_full_cluster.json with a --min-bar floor on the
+#   agreement ARI
 # — plus the telemetry-smoke pass: a live daemon with the full telemetry
 #   plane on (periodic Prometheus exporter, JSON structured logging, span
 #   tracer) answers ping/health/stats/trace, a hot reload bumps the
@@ -91,10 +91,9 @@ run_config() {
 #  Daemon/Protocol cover the serving daemon: overload shedding, deadline
 # expiry, hot reload, signal-driven drain, and the serve.accept/serve.batch/
 # serve.reload failpoints all rerun under both sanitizers.
-#  ClusterAtScale/MiniBatchKMeans/LandmarkSpectral/FullTrace cover the
-# scalable clustering engine: the cluster.scale failpoint's landmark ->
-# mini-batch degradation and both backends rerun under both sanitizers.
-FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace'
+#  MiniBatchKMeans/FullTrace cover the full-trace clustering engine under
+# both sanitizers.
+FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|MiniBatchKMeans|FullTrace'
 
 # Smoke the machine-readable bench pipeline end to end: tiny-input runs of
 # the two benches with committed baselines must produce cwgl-bench-v1 JSON
@@ -309,11 +308,10 @@ run_serve_daemon_smoke() {
 
 # Full-trace clustering smoke: `cwgl characterize --full` on a generated
 # multi-thousand-job trace must reproduce the exact sampled pipeline's
-# partition at ARI >= 0.8 for BOTH backends (mini-batch and landmark), a
-# full-trace fit must classify the committed probe jobs (`fit --full` ->
-# `predict` round-trip, per-section snapshot sizes present in the fit JSON),
-# and bench_full_cluster is gated against its committed baseline with hard
-# --min-bar floors on both agreement ARIs.
+# partition at ARI >= 0.8, a full-trace fit must classify the committed
+# probe jobs (`fit --full` -> `predict` round-trip, per-section snapshot
+# sizes present in the fit JSON), and bench_full_cluster is gated against
+# its committed baseline with a hard --min-bar floor on the agreement ARI.
 run_fulltrace_smoke() {
   local name="fulltrace-smoke" build_dir="build-check-fulltrace-smoke"
   echo
@@ -323,38 +321,32 @@ run_fulltrace_smoke() {
     -DCWGL_BUILD_EXAMPLES=OFF
   echo "=== [${name}] build ==="
   cmake --build "${build_dir}" -j "${JOBS}" --target cwgl bench_full_cluster
-  echo "=== [${name}] characterize --full (both backends) + ARI gate ==="
+  echo "=== [${name}] characterize --full + ARI gate ==="
   local cwgl="${build_dir}/src/cli/cwgl"
   local out="${build_dir}/fulltrace-out"
   mkdir -p "${out}"
   local ok=1
-  local method
-  for method in minibatch landmark; do
-    if ! "${cwgl}" characterize --full="${method}" --jobs 20000 --json \
-        > "${out}/full_${method}.json"; then
-      echo "${name}: characterize --full=${method} failed" >&2
-      ok=0
-      continue
-    fi
-    if ! python3 -c '
+  if ! "${cwgl}" characterize --full --jobs 20000 --json \
+      > "${out}/full.json"; then
+    echo "${name}: characterize --full failed" >&2
+    ok=0
+  elif ! python3 -c '
 import json, sys
 doc = json.load(open(sys.argv[1]))
-method = sys.argv[2]
 assert doc["schema"] == "cwgl-full-v1", doc.get("schema")
-assert doc["method"] == method, (doc["method"], method)
+assert doc["method"] == "minibatch", doc["method"]
 agreement = doc["agreement"]
 jobs, ari = agreement["jobs"], agreement["ari"]
 assert jobs > 0, "agreement validation did not run"
 if ari < 0.8:
-    raise SystemExit(f"{method}: ARI {ari:.3f} < 0.8 vs the exact subsample")
+    raise SystemExit(f"ARI {ari:.3f} < 0.8 vs the exact subsample")
 shapes = doc["distinct_shapes"]
 total = doc["jobs"]
-print(f"  {method}: {total} jobs, {shapes} shapes, ARI {ari:.3f} on {jobs} jobs")
-' "${out}/full_${method}.json" "${method}"; then
-      echo "${name}: ${method} agreement gate failed" >&2
-      ok=0
-    fi
-  done
+print(f"  minibatch: {total} jobs, {shapes} shapes, ARI {ari:.3f} on {jobs} jobs")
+' "${out}/full.json"; then
+    echo "${name}: agreement gate failed" >&2
+    ok=0
+  fi
   if ((ok)); then
     echo "=== [${name}] fit --full -> predict round-trip ==="
     if ! "${cwgl}" fit --full --jobs 20000 --json \
@@ -387,7 +379,6 @@ assert doc["snapshot"]["bytes"] == sections["total"]
       ok=0
     elif ! python3 scripts/bench_diff.py \
         --min-bar 'agreement_ari_*=0.8' \
-        --max-bar 'landmark_degraded=0' \
         "bench/baselines/BENCH_full_cluster.json" \
         "${out}/BENCH_full_cluster.json"; then
       ok=0

@@ -17,7 +17,6 @@
 #include "obs/prometheus.hpp"
 #include "obs/tracer.hpp"
 
-#include "cluster/scale.hpp"
 #include "core/comparison.hpp"
 #include "core/ingest.hpp"
 #include "core/pipeline.hpp"
@@ -57,24 +56,21 @@ commands:
   census        whole-trace statistics (DAG share, resources, shapes)
                   (--trace DIR | [--jobs N]) [--seed S]
   characterize  the full paper pipeline, printing every figure's data
-                (alias: pipeline). --intern deduplicates the sample by DAG
-                shape (core::ShapeStore) and runs the expensive stages once
-                per distinct shape, count-weighted — same results, and the
-                --json report gains an "intern" member with the table stats.
-                --json embeds "timings" and, with --metrics, a "metrics"
-                snapshot.
-                --full[=minibatch|landmark] clusters EVERY eligible job (no
-                sampling): shapes are interned, featurized once each, and
-                clustered count-weighted by mini-batch k-means (default) or
-                a landmark/Nystrom spectral embedding — no n x n Gram, so
-                100k+ jobs run in seconds. Prints the per-group table plus
-                an agreement report (ARI/NMI) validating the full-trace
-                labels against the exact spectral pipeline on a shared job
-                subsample (--json emits schema cwgl-full-v1)
+                (alias: pipeline). The sample is deduplicated by DAG shape
+                (core::ShapeStore) and the expensive stages run once per
+                distinct shape, count-weighted; the --json report carries
+                an "intern" member with the shape-table stats, "timings"
+                and, with --metrics, a "metrics" snapshot.
+                --full clusters EVERY eligible job (no sampling): shapes are
+                interned, featurized once each, and clustered count-weighted
+                by mini-batch k-means — no n x n Gram, so 100k+ jobs run in
+                seconds. Prints the per-group table plus an agreement report
+                (ARI/NMI) validating the full-trace labels against the exact
+                spectral pipeline on a shared job subsample (--json emits
+                schema cwgl-full-v1)
                   (--trace DIR | [--jobs N]) [--sample K] [--natural]
-                  [--clusters K] [--wl-iterations H] [--seed S] [--intern]
-                  [--full[=METHOD]] [--json] [--metrics[=FILE]]
-                  [--trace-out FILE]
+                  [--clusters K] [--wl-iterations H] [--seed S]
+                  [--full] [--json] [--metrics[=FILE]] [--trace-out FILE]
   cluster       similarity map + spectral groups + medoid .dot files
                   (--trace DIR | [--jobs N]) [--sample K] [--clusters K]
                   [--out DIR] [--seed S]
@@ -97,17 +93,16 @@ commands:
                   (--trace DIR --trace-b DIR | [--jobs N] [--seed S] [--seed-b S])
   fit           run the pipeline and persist the fitted WL/cluster model as a
                 cwgl-model-v2 snapshot, then self-check that the snapshot
-                reproduces the pipeline's own cluster assignments. With
-                --intern the snapshot stores one representative per distinct
-                DAG shape (carrying its multiplicity) instead of one per job.
-                --full[=minibatch|landmark] fits on EVERY eligible job via
-                the scalable full-trace path (one representative per distinct
-                shape of the whole workload). --json emits schema
+                reproduces the pipeline's own cluster assignments. The
+                snapshot stores one representative per distinct DAG shape,
+                carrying its multiplicity. --full fits on EVERY eligible job
+                via the mini-batch full-trace path. --json emits schema
                 cwgl-fit-v1 with the snapshot's total and per-section byte
-                sizes (CONF/DICT/PROF/REPS/SHPC) and the self-check verdict
+                sizes (CONF/DICT/PROF/REPS/SHPC), the self-check verdict and
+                "timings" (load_ms, total_ms)
                   (--trace DIR | [--jobs N]) [--out FILE] [--sample K]
                   [--clusters K] [--wl-iterations H] [--seed S] [--natural]
-                  [--conflated] [--intern] [--full[=METHOD]] [--json]
+                  [--conflated] [--full] [--json]
   predict       with --model: classify the DAG jobs of a batch_task.csv
                 against a fitted snapshot (cluster, similarity, structure
                 forecast; --json emits schema cwgl-predict-v1).
@@ -193,7 +188,6 @@ core::PipelineConfig pipeline_config(const Args& args) {
   if (const auto h = args.get_int("wl-iterations")) {
     cfg.similarity.wl.iterations = static_cast<int>(*h);
   }
-  if (args.has("intern")) cfg.intern_shapes = true;
   return cfg;
 }
 
@@ -265,14 +259,13 @@ void print_metrics_text(const ObsOptions& o, std::ostream& out) {
   obs::MetricsRegistry::global().snapshot().write_text(out);
 }
 
-/// Parses `--full[=minibatch|landmark]` into the pipeline config. Returns
-/// false (after printing to `err`) on an unrecognized method name.
-bool parse_full_method(const Args& args, const char* command,
-                       core::PipelineConfig& cfg, std::ostream& err) {
+/// `--full` is a plain switch. Returns false (after printing to `err`) when
+/// it was given a value.
+bool check_full_switch(const Args& args, const char* command,
+                       std::ostream& err) {
   const std::string text = args.get("full");
-  if (!text.empty() && !cluster::parse_scale_method(text, cfg.full_method)) {
-    err << command << ": unknown --full method '" << text
-        << "' (expected minibatch or landmark)\n";
+  if (!text.empty()) {
+    err << command << ": --full takes no value (got '" << text << "')\n";
     return false;
   }
   return true;
@@ -280,16 +273,10 @@ bool parse_full_method(const Args& args, const char* command,
 
 void print_full_trace_report(std::ostream& out,
                              const core::FullTraceResult& result) {
-  out << "full-trace clustering (" << cluster::to_string(result.method);
-  if (result.degraded) out << ", degraded from landmark";
-  out << "): " << result.total_jobs() << " jobs, " << result.table.size()
-      << " distinct shapes ("
+  out << "full-trace clustering (minibatch): " << result.total_jobs()
+      << " jobs, " << result.table.size() << " distinct shapes ("
       << util::format_double(100.0 * result.stats.distinct_ratio(), 1)
       << "%)\n";
-  if (result.method == cluster::ScaleMethod::Landmark) {
-    out << "landmark embedding: " << result.landmarks << " landmarks, "
-        << result.embedding_dims << " dims\n";
-  }
   out << "\ngroup  population      share   med.size  med.depth  med.width  "
          "chains  short\n";
   for (const core::ClusterGroupStats& g : result.groups) {
@@ -324,14 +311,9 @@ void write_full_trace_json(std::ostream& out,
   j.field("jobs", static_cast<unsigned long long>(result.total_jobs()));
   j.field("distinct_shapes", result.table.size());
   j.field("distinct_ratio", result.stats.distinct_ratio());
-  j.field("method", cluster::to_string(result.method));
-  j.field("degraded", result.degraded);
+  j.field("method", "minibatch");
   j.field("clusters", result.groups.size());
   j.field("inertia", result.inertia);
-  if (result.method == cluster::ScaleMethod::Landmark) {
-    j.field("landmarks", result.landmarks);
-    j.field("embedding_dims", result.embedding_dims);
-  }
   j.key("groups");
   j.begin_array();
   for (const core::ClusterGroupStats& g : result.groups) {
@@ -417,7 +399,9 @@ int cmd_census(const Args& args, std::ostream& out, std::ostream& err) {
   core::print_trace_census(out, core::TraceCensus::compute(data));
   const auto jobs = core::build_all_dag_jobs(data, trace::SamplingCriteria{});
   out << "\nfiltered DAG jobs: " << jobs.size() << "\n";
-  core::print_pattern_census(out, core::PatternCensus::compute(jobs));
+  core::print_pattern_census(
+      out, core::PatternCensus::compute(
+               jobs, std::vector<std::uint64_t>(jobs.size(), 1)));
   const auto topo = core::TopologyCensus::compute(jobs);
   out << "distinct topologies: " << topo.distinct_topologies << " ("
       << util::format_double(100.0 * topo.recurring_fraction, 1)
@@ -446,12 +430,12 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
   const trace::Trace data = load_or_generate(args, progress);
   const double load_ms = load_timer.millis();
   core::PipelineConfig cfg = pipeline_config(args);
-  if (full && !parse_full_method(args, "characterize", cfg, err)) return 2;
+  if (full && !check_full_switch(args, "characterize", err)) return 2;
   if (const int rc = reject_unknown(args, err)) return rc;
 
   if (full) {
-    // Full-trace path: cluster EVERY eligible job (no sampling) via the
-    // scalable backends — memory bounded by distinct shapes.
+    // Full-trace path: cluster EVERY eligible job (no sampling) by
+    // mini-batch k-means — memory bounded by distinct shapes.
     util::ThreadPool pool;
     util::WallTimer timer;
     const core::FullTraceResult result =
@@ -487,14 +471,12 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
   }
   out << "pipeline completed in " << util::format_double(pipeline_ms, 1)
       << " ms\n";
-  if (result.interned.has_value()) {
-    const auto& s = result.interned->stats;
-    out << "shape interning: " << s.distinct_shapes << " distinct shapes for "
-        << s.total_jobs << " jobs ("
-        << util::format_double(100.0 * s.distinct_ratio(), 1) << "%), "
-        << s.isomorphism_probes << " isomorphism probes, "
-        << s.hash_collisions << " hash collisions\n";
-  }
+  const auto& s = result.interned.stats;
+  out << "shape interning: " << s.distinct_shapes << " distinct shapes for "
+      << s.total_jobs << " jobs ("
+      << util::format_double(100.0 * s.distinct_ratio(), 1) << "%), "
+      << s.isomorphism_probes << " isomorphism probes, "
+      << s.hash_collisions << " hash collisions\n";
   out << "\n";
   core::print_trace_census(out, result.census);
   out << "\n";
@@ -759,10 +741,12 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
   const bool full = args.has("full");
   std::ostringstream sink;  // keep the JSON stream pure of progress chatter
   std::ostream& progress = as_json ? static_cast<std::ostream&>(sink) : out;
+  util::WallTimer total_timer;
   const trace::Trace data = load_or_generate(args, progress);
+  const double load_ms = total_timer.millis();
   core::PipelineConfig cfg = pipeline_config(args);
   if (args.has("conflated")) cfg.analyze_conflated = true;
-  if (full && !parse_full_method(args, "fit", cfg, err)) return 2;
+  if (full && !check_full_switch(args, "fit", err)) return 2;
   if (const int rc = reject_unknown(args, err)) return rc;
 
   util::ThreadPool pool;
@@ -774,13 +758,9 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
   // cluster each must land back in when classified through the snapshot.
   std::vector<core::JobDag> check_jobs;
   std::vector<int> check_labels;
-  std::string full_method;
-  bool full_degraded = false;
   cluster::AgreementReport agreement;
   if (full) {
     core::FullTraceResult result = pipeline.run_full(data, &pool, &fitted);
-    full_method = cluster::to_string(result.method);
-    full_degraded = result.degraded;
     agreement = result.agreement;
     snapshot = model::build_model_full(result, std::move(fitted), cfg);
     check_labels = result.shape_labels;
@@ -808,6 +788,7 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
     }
   }
   const bool self_check_ok = agree == check_jobs.size();
+  const double total_ms = total_timer.millis();
 
   if (as_json) {
     util::JsonWriter j(out);
@@ -815,8 +796,7 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
     j.field("schema", "cwgl-fit-v1");
     j.field("full", full);
     if (full) {
-      j.field("method", full_method);
-      j.field("degraded", full_degraded);
+      j.field("method", "minibatch");
       j.key("agreement");
       j.begin_object();
       j.field("jobs", agreement.items);
@@ -830,6 +810,11 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
     j.field("representatives", snapshot.training_jobs());
     j.field("dictionary_size", snapshot.dictionary.size());
     j.field("elapsed_ms", elapsed_ms);
+    j.key("timings");
+    j.begin_object();
+    j.field("load_ms", load_ms);
+    j.field("total_ms", total_ms);
+    j.end_object();
     j.key("snapshot");
     j.begin_object();
     j.field("path", out_path);
@@ -865,8 +850,7 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
       << snapshot.dictionary.size() << " WL signatures) in "
       << util::format_double(elapsed_ms, 1) << " ms\n";
   if (full) {
-    out << "full-trace fit (" << full_method
-        << (full_degraded ? ", degraded" : "") << ")";
+    out << "full-trace fit (minibatch)";
     if (agreement.items > 0) {
       out << ": agreement vs exact sample ARI "
           << util::format_double(agreement.ari, 3) << ", NMI "

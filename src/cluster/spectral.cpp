@@ -27,7 +27,7 @@ SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
         " items exceed the dense-path limit of " +
         std::to_string(options.max_dense_items) +
         " (O(n^2) memory, O(n^3) eigensolve); use the scalable path "
-        "(`cwgl characterize --full` / cluster_at_scale) or raise "
+        "(`cwgl characterize --full` / minibatch_kmeans) or raise "
         "SpectralOptions::max_dense_items");
   }
 
@@ -181,7 +181,7 @@ SpectralResult spectral_cluster_weighted(const linalg::Matrix& similarity,
         " items exceed the dense-path limit of " +
         std::to_string(options.max_dense_items) +
         " (O(n^2) memory, O(n^3) eigensolve); use the scalable path "
-        "(`cwgl characterize --full` / cluster_at_scale) or raise "
+        "(`cwgl characterize --full` / minibatch_kmeans) or raise "
         "SpectralOptions::max_dense_items");
   }
 

@@ -31,7 +31,7 @@ struct SpectralOptions {
   /// Hard ceiling on the dense path: above this many items the O(n^2)
   /// Laplacian + eigensolve would silently burn memory and hours, so the
   /// call throws util::InvalidArgument pointing at the scalable path
-  /// (`cwgl characterize --full` / cluster_at_scale). 0 disables the guard.
+  /// (`cwgl characterize --full` / minibatch_kmeans). 0 disables the guard.
   std::size_t max_dense_items = 2000;
   /// Optional sink for degradations (clamped entries, eigen fallback).
   util::Diagnostics* diagnostics = nullptr;

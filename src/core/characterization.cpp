@@ -9,24 +9,6 @@
 
 namespace cwgl::core {
 
-StructuralReport StructuralReport::compute(std::span<const JobDag> jobs) {
-  StructuralReport report;
-  std::map<int, SizeGroupFeatures> groups;
-  for (const JobDag& job : jobs) {
-    const int size = job.size();
-    report.size_histogram.add(size);
-    SizeGroupFeatures& g = groups[size];
-    g.size = size;
-    ++g.count;
-    g.max_critical_path =
-        std::max(g.max_critical_path, graph::critical_path_length(job.dag));
-    g.max_width = std::max(g.max_width, graph::max_width(job.dag));
-  }
-  for (const auto& [size, features] : groups) report.groups.push_back(features);
-  report.distinct_sizes = report.groups.size();
-  return report;
-}
-
 StructuralReport StructuralReport::compute(
     std::span<const JobDag> exemplars, std::span<const std::uint64_t> counts) {
   StructuralReport report;
@@ -44,21 +26,6 @@ StructuralReport StructuralReport::compute(
   }
   for (const auto& [size, features] : groups) report.groups.push_back(features);
   report.distinct_sizes = report.groups.size();
-  return report;
-}
-
-ConflationReport ConflationReport::compute(std::span<const JobDag> jobs) {
-  ConflationReport report;
-  double reduction_sum = 0.0;
-  for (const JobDag& job : jobs) {
-    const JobDag merged = conflate_job(job);
-    report.before.add(job.size());
-    report.after.add(merged.size());
-    reduction_sum += static_cast<double>(job.size()) /
-                     static_cast<double>(std::max(1, merged.size()));
-  }
-  report.mean_reduction =
-      jobs.empty() ? 1.0 : reduction_sum / static_cast<double>(jobs.size());
   return report;
 }
 
@@ -85,8 +52,7 @@ ConflationReport ConflationReport::compute(
 namespace {
 
 /// Builds the Fig. 6 row for one job and bumps the matching model counter
-/// by `weight` (1 on the per-job path, the shape multiplicity when
-/// interned).
+/// by `weight`, the multiplicity of the job's shape.
 void add_task_type_row(TaskTypeReport& report, const JobDag& job,
                        std::size_t weight) {
   TaskTypeRow row;
@@ -134,13 +100,6 @@ void add_task_type_row(TaskTypeReport& report, const JobDag& job,
 
 }  // namespace
 
-TaskTypeReport TaskTypeReport::compute(std::span<const JobDag> jobs) {
-  TaskTypeReport report;
-  report.rows.reserve(jobs.size());
-  for (const JobDag& job : jobs) add_task_type_row(report, job, 1);
-  return report;
-}
-
 TaskTypeReport TaskTypeReport::compute(std::span<const JobDag> exemplars,
                                        std::span<const std::uint64_t> counts) {
   TaskTypeReport report;
@@ -150,22 +109,6 @@ TaskTypeReport TaskTypeReport::compute(std::span<const JobDag> exemplars,
                       static_cast<std::size_t>(counts[t]));
   }
   return report;
-}
-
-PatternCensus PatternCensus::compute(std::span<const JobDag> jobs) {
-  PatternCensus census;
-  census.total = jobs.size();
-  std::map<graph::ShapePattern, std::size_t> counts;
-  for (const JobDag& job : jobs) ++counts[graph::classify_shape(job.dag)];
-  for (const auto& [pattern, count] : counts) {
-    census.rows.push_back(
-        {pattern, count,
-         census.total ? static_cast<double>(count) / static_cast<double>(census.total)
-                      : 0.0});
-  }
-  std::sort(census.rows.begin(), census.rows.end(),
-            [](const Row& a, const Row& b) { return a.count > b.count; });
-  return census;
 }
 
 PatternCensus PatternCensus::compute(std::span<const JobDag> exemplars,

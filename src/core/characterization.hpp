@@ -28,11 +28,9 @@ struct StructuralReport {
   std::vector<SizeGroupFeatures> groups;  ///< ascending by size
   std::size_t distinct_sizes = 0;         ///< "17 different size types"
 
-  static StructuralReport compute(std::span<const JobDag> jobs);
-
-  /// Shape-interned overload: `exemplars[t]` stands for `counts[t]`
-  /// identical jobs. Identical output to `compute` on the expansion (size
-  /// and structural extremes are shape invariants).
+  /// `exemplars[t]` stands for `counts[t]` identical jobs; a plain job list
+  /// passes a count of 1 per job. Size and structural extremes are shape
+  /// invariants, so the result equals that of the expanded job list.
   static StructuralReport compute(std::span<const JobDag> exemplars,
                                   std::span<const std::uint64_t> counts);
 };
@@ -44,12 +42,11 @@ struct ConflationReport {
   /// Mean size reduction factor achieved by conflation.
   double mean_reduction = 1.0;
 
-  static ConflationReport compute(std::span<const JobDag> jobs);
-
-  /// Shape-interned overload: conflation is a deterministic function of
-  /// topology + labels, so one conflation per distinct shape reproduces the
-  /// per-job histograms exactly; `mean_reduction` matches the expansion up
-  /// to floating-point summation order.
+  /// `exemplars[t]` stands for `counts[t]` identical jobs (1 each for a
+  /// plain job list). Conflation is a deterministic function of topology +
+  /// labels, so one conflation per distinct shape reproduces the expanded
+  /// histograms exactly; `mean_reduction` matches the expansion up to
+  /// floating-point summation order.
   static ConflationReport compute(std::span<const JobDag> exemplars,
                                   std::span<const std::uint64_t> counts);
 };
@@ -77,12 +74,9 @@ struct TaskTypeReport {
   std::size_t map_reduce_merge_jobs = 0;
   std::size_t multi_stage_jobs = 0;
 
-  static TaskTypeReport compute(std::span<const JobDag> jobs);
-
-  /// Shape-interned overload: programming-model counters aggregate with
-  /// multiplicity and match the expansion exactly. `rows` necessarily
-  /// diverges from the per-job report — one row per DISTINCT shape (named
-  /// after the exemplar), since expanding would defeat the interning.
+  /// `exemplars[t]` stands for `counts[t]` identical jobs (1 each for a
+  /// plain job list). Programming-model counters aggregate with
+  /// multiplicity; `rows` holds one row per exemplar, named after it.
   static TaskTypeReport compute(std::span<const JobDag> exemplars,
                                 std::span<const std::uint64_t> counts);
 };
@@ -98,10 +92,8 @@ struct PatternCensus {
   std::vector<Row> rows;  ///< descending by count
   std::size_t total = 0;
 
-  static PatternCensus compute(std::span<const JobDag> jobs);
-
-  /// Shape-interned overload: identical output to `compute` on the
-  /// expansion (the pattern is a shape invariant).
+  /// `exemplars[t]` stands for `counts[t]` identical jobs (1 each for a
+  /// plain job list); the pattern is a shape invariant.
   static PatternCensus compute(std::span<const JobDag> exemplars,
                                std::span<const std::uint64_t> counts);
 

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <vector>
 
+#include "cluster/minibatch_kmeans.hpp"
 #include "cluster/spectral.hpp"
 #include "core/pipeline.hpp"
 #include "graph/algorithms.hpp"
@@ -129,7 +130,7 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   }
   const std::size_t dims = features.dictionary.size();
 
-  // Cosine-normalized copies: the scalable backends cluster on the unit
+  // Cosine-normalized copies: mini-batch k-means clusters on the unit
   // sphere, where squared distance is 2 - 2 * (normalized kernel value) —
   // the same geometry the exact pipeline's normalized Gram encodes.
   std::vector<kernel::SparseVector> normalized = features.vectors;
@@ -146,27 +147,32 @@ FullTraceResult CharacterizationPipeline::run_full_table(
           static_cast<std::size_t>(std::max(1, config_.clustering.clusters)),
           m));
 
-  cluster::ScaleOptions scale_options;
-  scale_options.method = config_.full_method;
-  scale_options.clusters = k_eff;
-  scale_options.seed = config_.clustering.seed;
-  cluster::ScaleResult scaled =
-      cluster::cluster_at_scale(normalized, weights, dims, scale_options);
-  result.method = scaled.method;
-  result.degraded = scaled.degraded;
-  result.inertia = scaled.inertia;
-  result.landmarks = scaled.landmarks;
-  result.embedding_dims = scaled.embedding_dims;
+  // Count-weighted mini-batch k-means on the sparse features: no n x n
+  // Gram, so memory stays bounded by distinct shapes.
+  cluster::MiniBatchOptions minibatch;
+  minibatch.seed =
+      util::hash_combine(config_.clustering.seed, 0x6d696e69ULL);  // "mini"
+  cluster::MiniBatchResult clustered;
+  {
+    obs::Span span("cluster.scale");
+    span.arg("points", m);
+    span.arg("k", static_cast<std::uint64_t>(k_eff));
+    clustered =
+        cluster::minibatch_kmeans(normalized, weights, dims, k_eff, minibatch);
+  }
+  result.inertia = clustered.inertia;
 
   // Relabel by descending weighted mass (ties to the lower raw id), the
   // paper's group-'A'-is-largest convention.
   const std::vector<std::uint64_t> counts = result.table.counts();
   std::size_t raw_clusters = 0;
-  for (int l : scaled.labels) {
+  for (int l : clustered.labels) {
     raw_clusters = std::max(raw_clusters, static_cast<std::size_t>(l) + 1);
   }
   std::vector<std::uint64_t> raw_mass(raw_clusters, 0);
-  for (std::size_t t = 0; t < m; ++t) raw_mass[scaled.labels[t]] += counts[t];
+  for (std::size_t t = 0; t < m; ++t) {
+    raw_mass[clustered.labels[t]] += counts[t];
+  }
   std::vector<int> order(raw_clusters);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -178,7 +184,7 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   }
   result.shape_labels.resize(m);
   for (std::size_t t = 0; t < m; ++t) {
-    result.shape_labels[t] = relabel[scaled.labels[t]];
+    result.shape_labels[t] = relabel[clustered.labels[t]];
   }
 
   // Count-weighted per-group statistics, mirroring the interned sampled

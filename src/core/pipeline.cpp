@@ -57,69 +57,9 @@ PipelineResult CharacterizationPipeline::run(const trace::Trace& trace,
     span.arg("jobs", result.sample.size());
   }
 
-  if (config_.intern_shapes) {
-    run_interned(result, pool, fitted);
-    pipeline_span.arg("sampled_jobs", result.sample.size());
-    pipeline_span.arg("distinct_shapes", result.interned->table.size());
-    return result;
-  }
-
-  {
-    obs::Span span("pipeline.structure");
-    result.conflation = ConflationReport::compute(result.sample);
-    result.structure_before = StructuralReport::compute(result.sample);
-  }
-
-  // Conflation is pure per job, so it rides the same pool as featurization.
-  std::vector<JobDag> conflated(result.sample.size());
-  {
-    obs::Span span("pipeline.conflation");
-    span.arg("jobs", conflated.size());
-    const auto conflate_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        conflated[i] = conflate_job(result.sample[i]);
-      }
-    };
-    if (pool != nullptr) {
-      util::parallel_for_chunked(*pool, 0, conflated.size(), 16, conflate_range);
-    } else {
-      conflate_range(0, conflated.size());
-    }
-    result.structure_after = StructuralReport::compute(conflated);
-  }
-
-  {
-    obs::Span span("pipeline.task_types");
-    result.task_types = TaskTypeReport::compute(result.sample);
-    result.patterns = PatternCensus::compute(result.sample);
-  }
-
-  const std::vector<JobDag>& analysis_set =
-      config_.analyze_conflated ? conflated : result.sample;
-  {
-    obs::Span span("pipeline.similarity");
-    span.arg("jobs", analysis_set.size());
-    result.similarity = SimilarityAnalysis::compute(
-        analysis_set, config_.similarity, pool, fitted);
-  }
-  {
-    obs::Span span("pipeline.clustering");
-    result.clustering = ClusteringAnalysis::compute(result.similarity.gram,
-                                                    analysis_set,
-                                                    config_.clustering);
-  }
-  pipeline_span.arg("sampled_jobs", result.sample.size());
-  return result;
-}
-
-/// The shape-interned back half of run(): everything after sampling runs
-/// once per distinct shape, count-weighted. Per-job outputs (labels, the
-/// Gram matrix) are expanded back so the PipelineResult is a drop-in
-/// replacement for the direct path's.
-void CharacterizationPipeline::run_interned(PipelineResult& result,
-                                            util::ThreadPool* pool,
-                                            FittedFeatures* fitted) const {
-  InternedAnalysis interned;
+  // Everything after sampling runs once per distinct shape, count-weighted;
+  // per-job outputs (Fig. 6 rows, the Gram matrix, labels) are expanded back.
+  InternedAnalysis& interned = result.interned;
   {
     obs::Span span("pipeline.intern");
     ShapeStore store;
@@ -147,7 +87,6 @@ void CharacterizationPipeline::run_interned(PipelineResult& result,
     result.structure_before = StructuralReport::compute(exemplars, counts);
   }
 
-  // One conflation per distinct shape (vs one per job on the direct path).
   std::vector<JobDag> conflated(exemplars.size());
   {
     obs::Span span("pipeline.conflation");
@@ -169,18 +108,26 @@ void CharacterizationPipeline::run_interned(PipelineResult& result,
     obs::Span span("pipeline.task_types");
     result.task_types = TaskTypeReport::compute(exemplars, counts);
     result.patterns = PatternCensus::compute(exemplars, counts);
+    // Fig. 6 lists every sampled job: its shape's row under its own name.
+    const std::vector<TaskTypeRow> shape_rows =
+        std::move(result.task_types.rows);
+    result.task_types.rows.clear();
+    result.task_types.rows.reserve(result.sample.size());
+    for (std::size_t i = 0; i < result.sample.size(); ++i) {
+      TaskTypeRow& row = result.task_types.rows.emplace_back(
+          shape_rows[interned.shape_of[i]]);
+      row.job_name = result.sample[i].job_name;
+    }
   }
 
   const std::vector<JobDag>& analysis_shapes =
       config_.analyze_conflated ? conflated : exemplars;
-  SimilarityAnalysis shape_similarity;
   {
     obs::Span span("pipeline.similarity");
     span.arg("shapes", analysis_shapes.size());
-    shape_similarity = SimilarityAnalysis::compute(
-        analysis_shapes, config_.similarity, pool, fitted);
+    interned.shape_gram = SimilarityAnalysis::compute(
+        analysis_shapes, config_.similarity, pool, fitted).gram;
   }
-  interned.shape_gram = shape_similarity.gram;
 
   {
     obs::Span span("pipeline.clustering");
@@ -190,23 +137,23 @@ void CharacterizationPipeline::run_interned(PipelineResult& result,
   }
 
   // Expand the shape kernel back to the per-job Gram: same-shape jobs have
-  // bitwise-identical WL feature vectors, so this reproduces the direct
-  // path's matrix exactly and every downstream consumer works unchanged.
-  {
-    const std::size_t n = result.sample.size();
-    result.similarity.gram = linalg::Matrix(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        result.similarity.gram(i, j) =
-            interned.shape_gram(interned.shape_of[i], interned.shape_of[j]);
-      }
-    }
-    result.similarity.job_names.reserve(n);
-    for (const JobDag& job : result.sample) {
-      result.similarity.job_names.push_back(job.job_name);
+  // bitwise-identical WL feature vectors, so this is the matrix a per-job
+  // kernel would compute.
+  const std::size_t n = result.sample.size();
+  result.similarity.gram = linalg::Matrix(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      result.similarity.gram(i, j) =
+          interned.shape_gram(interned.shape_of[i], interned.shape_of[j]);
     }
   }
-  result.interned = std::move(interned);
+  result.similarity.job_names.reserve(n);
+  for (const JobDag& job : result.sample) {
+    result.similarity.job_names.push_back(job.job_name);
+  }
+  pipeline_span.arg("sampled_jobs", n);
+  pipeline_span.arg("distinct_shapes", interned.table.size());
+  return result;
 }
 
 std::vector<JobDag> CharacterizationPipeline::build_all_dags(

@@ -2,12 +2,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "cluster/agreement.hpp"
-#include "cluster/scale.hpp"
 #include "core/characterization.hpp"
 #include "core/clustering.hpp"
 #include "core/ingest.hpp"
@@ -44,21 +42,14 @@ struct PipelineConfig {
   /// Run the similarity/clustering stages on conflated DAGs instead of the
   /// raw ones (ablation A3); structural reports always cover both.
   bool analyze_conflated = false;
-  /// Intern the experiment set's job shapes (core::ShapeStore) and run
-  /// every downstream stage once per DISTINCT shape, count-weighted —
-  /// results match the direct path (see PipelineResult::interned). Turns
-  /// O(jobs) featurize/kernel work into O(distinct shapes).
-  bool intern_shapes = false;
-  /// Full-trace runs (run_full) only: scalable clustering backend.
-  cluster::ScaleMethod full_method = cluster::ScaleMethod::MiniBatch;
   /// Full-trace runs only: jobs sampled (uniformly, seeded by sample_seed)
   /// to validate full-trace labels against the exact spectral pipeline.
   /// Clamped to the dense-path guard; 0 skips validation.
   std::size_t full_validation_sample = 200;
 };
 
-/// Shape-level byproducts of an interned pipeline run
-/// (PipelineConfig::intern_shapes).
+/// Shape-level byproducts of a pipeline run: the experiment set interned
+/// to its distinct shapes, which every stage after sampling runs over.
 struct InternedAnalysis {
   /// Distinct raw shapes of the experiment set, first-seen order.
   ShapeTable table;
@@ -74,7 +65,7 @@ struct InternedAnalysis {
 
 /// Result of clustering EVERY eligible job of a trace (run_full): the
 /// learning stage runs once per distinct shape, count-weighted, through
-/// cluster::cluster_at_scale — no n x n Gram is ever materialized, so
+/// cluster::minibatch_kmeans — no n x n Gram is ever materialized, so
 /// memory is bounded by distinct shapes, not jobs.
 struct FullTraceResult {
   /// Distinct shapes of the whole eligible workload, first-seen order.
@@ -90,11 +81,7 @@ struct FullTraceResult {
   /// groups, `medoid` here is a SHAPE id (index into table), not a job
   /// index: the member shape nearest the group's weighted feature mean.
   std::vector<ClusterGroupStats> groups;
-  cluster::ScaleMethod method = cluster::ScaleMethod::MiniBatch;
-  bool degraded = false;              ///< landmark fell back to mini-batch
-  double inertia = 0.0;
-  std::size_t landmarks = 0;          ///< landmark path only
-  std::size_t embedding_dims = 0;     ///< landmark path only
+  double inertia = 0.0;               ///< mini-batch k-means objective
   /// Full-trace labels vs the exact spectral pipeline on a shared uniform
   /// job subsample (items == 0 when validation was skipped).
   cluster::AgreementReport agreement;
@@ -117,10 +104,10 @@ struct PipelineResult {
   PatternCensus patterns;                ///< Section V-B frequencies
   SimilarityAnalysis similarity;         ///< Fig. 7
   ClusteringAnalysis clustering;         ///< Figs. 8-9
-  /// Present when the run interned shapes (PipelineConfig::intern_shapes).
-  /// All fields above are still populated — per-job where they were
-  /// per-job — so every consumer of the direct path works unchanged.
-  std::optional<InternedAnalysis> interned;
+  /// The distinct shapes the stages above ran over. The fields above stay
+  /// per job where the paper reports per job (sample, Fig. 6 rows, the
+  /// similarity matrix, cluster labels).
+  InternedAnalysis interned;
 };
 
 /// Orchestrates trace -> filters -> variability sample -> DAGs -> reports.
@@ -140,18 +127,21 @@ class CharacterizationPipeline {
                                      util::ThreadPool* pool = nullptr,
                                      IngestStats* stats = nullptr) const;
 
-  /// Full analysis of a trace. `pool` parallelizes the Gram matrix. When
-  /// `fitted` is non-null the similarity stage additionally exports its
-  /// fitted state (feature vectors + frozen dictionary of the analysis set —
-  /// the conflated set when `analyze_conflated`); this is the train-side
-  /// hook the model store builds a serving snapshot from.
+  /// Full analysis of a trace. The sample is interned to its distinct
+  /// shapes and every stage after sampling runs once per shape,
+  /// count-weighted; per-job outputs are expanded back. `pool` parallelizes
+  /// conflation and the Gram matrix. When `fitted` is non-null the
+  /// similarity stage additionally exports its fitted state (one feature
+  /// vector per distinct analysis-set shape — conflated when
+  /// `analyze_conflated` — plus the frozen dictionary); this is the
+  /// train-side hook the model store builds a serving snapshot from.
   PipelineResult run(const trace::Trace& trace,
                      util::ThreadPool* pool = nullptr,
                      FittedFeatures* fitted = nullptr) const;
 
   /// Clusters EVERY eligible job of the trace (no sampling): intern all
   /// shapes, featurize once per distinct shape, cluster count-weighted
-  /// sparse features via cluster_at_scale (config().full_method), and
+  /// sparse features via mini-batch k-means, and
   /// validate against the exact spectral pipeline on a shared uniform
   /// subsample (config().full_validation_sample jobs). When `fitted` is
   /// non-null the per-shape feature vectors + frozen dictionary are
@@ -170,9 +160,6 @@ class CharacterizationPipeline {
                            IngestStats* stats = nullptr) const;
 
  private:
-  void run_interned(PipelineResult& result, util::ThreadPool* pool,
-                    FittedFeatures* fitted) const;
-
   FullTraceResult run_full_table(ShapeTable table,
                                  std::vector<std::uint32_t> shape_of,
                                  ShapeStore::Stats stats,

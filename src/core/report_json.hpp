@@ -26,7 +26,8 @@ void write_json(std::ostream& out, const TopologyCensus& census);
 void write_json(std::ostream& out, const ResourceUsageReport& report);
 
 /// The whole pipeline result as one JSON object keyed by figure
-/// ("census", "fig3", "fig4", "fig5", "fig6", "patterns", "fig7", "fig9").
+/// ("census", "fig3", "fig4", "fig5", "fig6", "patterns", "fig7", "fig9"),
+/// plus "intern" with the sample's shape-table statistics.
 void write_json(std::ostream& out, const PipelineResult& result);
 
 /// Observability extras appended to the pipeline report by the CLI.

@@ -27,26 +27,56 @@ std::vector<Signature> signatures(const Digraph& g, std::span<const int> labels)
   return out;
 }
 
-/// Backtracking mapper: assigns vertices of `a` in order; a candidate must
+/// Matching order for `g`: breadth-first over the undirected adjacency, one
+/// component at a time, so every vertex after the first of its component
+/// already has a matched neighbour. Candidates are then pruned by edge
+/// consistency from the second vertex on; matching in index order instead
+/// lets unconnected sources (numbered first in most jobs) be permuted
+/// freely before any edge rules a choice out.
+std::vector<int> bfs_order(const Digraph& g) {
+  const int n = g.num_vertices();
+  std::vector<int> order;
+  order.reserve(n);
+  std::vector<bool> seen(n, false);
+  for (int root = 0; root < n; ++root) {
+    if (seen[root]) continue;
+    seen[root] = true;
+    order.push_back(root);
+    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+      const int v = order[head];
+      for (const auto neighbours : {g.successors(v), g.predecessors(v)}) {
+        for (int w : neighbours) {
+          if (!seen[w]) {
+            seen[w] = true;
+            order.push_back(w);
+          }
+        }
+      }
+    }
+  }
+  return order;
+}
+
+/// Backtracking mapper: assigns vertices of `a` in `order`; a candidate must
 /// match the signature and be edge-consistent with every assigned vertex.
 bool extend(const Digraph& a, const Digraph& b,
             const std::vector<Signature>& sig_a,
-            const std::vector<Signature>& sig_b, std::vector<int>& map,
-            std::vector<bool>& used, int v) {
-  const int n = a.num_vertices();
-  if (v == n) return true;
-  for (int w = 0; w < n; ++w) {
+            const std::vector<Signature>& sig_b, const std::vector<int>& order,
+            std::vector<int>& map, std::vector<bool>& used, std::size_t depth) {
+  if (depth == order.size()) return true;
+  const int v = order[depth];
+  for (int w = 0; w < b.num_vertices(); ++w) {
     if (used[w] || sig_a[v] != sig_b[w]) continue;
-    bool consistent = true;
-    for (int u = 0; u < v && consistent; ++u) {
+    bool consistent = a.has_edge(v, v) == b.has_edge(w, w);
+    for (std::size_t i = 0; i < depth && consistent; ++i) {
+      const int u = order[i];
       consistent = a.has_edge(u, v) == b.has_edge(map[u], w) &&
                    a.has_edge(v, u) == b.has_edge(w, map[u]);
     }
-    if (a.has_edge(v, v) != b.has_edge(w, w)) consistent = false;
     if (!consistent) continue;
     map[v] = w;
     used[w] = true;
-    if (extend(a, b, sig_a, sig_b, map, used, v + 1)) return true;
+    if (extend(a, b, sig_a, sig_b, order, map, used, depth + 1)) return true;
     used[w] = false;
   }
   return false;
@@ -79,7 +109,7 @@ bool are_isomorphic(const Digraph& a, std::span<const int> labels_a,
 
   std::vector<int> map(a.num_vertices(), -1);
   std::vector<bool> used(a.num_vertices(), false);
-  return extend(a, b, sig_a, sig_b, map, used, 0);
+  return extend(a, b, sig_a, sig_b, bfs_order(a), map, used, 0);
 }
 
 }  // namespace cwgl::graph

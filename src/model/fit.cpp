@@ -1,6 +1,8 @@
 #include "model/fit.hpp"
 
 #include <limits>
+#include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,16 +26,16 @@ ClusterProfile make_profile(const core::ClusterGroupStats& g) {
   return p;
 }
 
-}  // namespace
-
-FittedModel build_model(const core::PipelineResult& result,
-                        core::FittedFeatures fitted,
-                        const core::PipelineConfig& config) {
-  const auto& clustering = result.clustering;
-  const auto& names = result.similarity.job_names;
-  const std::size_t n = fitted.vectors.size();
-  if (n == 0) throw ModelError("model: cannot fit on an empty analysis set");
-
+/// One representative per distinct shape of `table`: shape t joins cluster
+/// `shape_labels[t]` under fit-time sequence number `training_index[t]`,
+/// carrying the shape's multiplicity. Group medoids are given in the same
+/// sequence and remapped to positions inside their cluster's list.
+FittedModel assemble(const core::ShapeTable& table,
+                     std::span<const int> shape_labels,
+                     std::span<const std::uint64_t> training_index,
+                     std::span<const core::ClusterGroupStats> groups,
+                     core::FittedFeatures fitted,
+                     const core::PipelineConfig& config) {
   FittedModel m;
   m.wl = config.similarity.wl;
   m.use_type_labels = config.similarity.use_type_labels;
@@ -41,92 +43,30 @@ FittedModel build_model(const core::PipelineResult& result,
   m.conflated = config.analyze_conflated;
   m.dictionary = std::move(fitted.dictionary);
 
-  m.profiles.reserve(clustering.groups.size());
-  for (const core::ClusterGroupStats& g : clustering.groups) {
+  m.profiles.reserve(groups.size());
+  for (const core::ClusterGroupStats& g : groups) {
     m.profiles.push_back(make_profile(g));
   }
   m.representatives.resize(m.profiles.size());
 
-  if (result.interned.has_value()) {
-    // Shape-interned fit: the fitted vectors are per distinct shape, the
-    // clustering labels per job. One representative per shape — its exemplar
-    // is a literal copy of the shape's first sampled job, so job_name and
-    // training_index address that job and the medoid remap below still
-    // resolves (group medoids are first-job indices of medoid shapes).
-    const core::InternedAnalysis& interned = *result.interned;
-    const std::size_t shapes = interned.table.size();
-    if (n != shapes || clustering.labels.size() != interned.shape_of.size()) {
-      throw ModelError(
-          "model: fitted features, clustering labels, and the shape table "
-          "disagree on the analysis-set size — results from different runs?");
-    }
-    std::vector<std::uint64_t> first_job(shapes,
-                                         std::numeric_limits<std::uint64_t>::max());
-    std::vector<int> shape_label(shapes, -1);
-    for (std::size_t i = 0; i < interned.shape_of.size(); ++i) {
-      const std::uint32_t t = interned.shape_of[i];
-      if (t >= shapes) {
-        throw ModelError("model: shape id out of range in interned result");
-      }
-      if (first_job[t] == std::numeric_limits<std::uint64_t>::max()) {
-        first_job[t] = i;
-        shape_label[t] = clustering.labels[i];
-      }
-    }
-    for (std::size_t t = 0; t < shapes; ++t) {
-      const int group = shape_label[t];
-      if (group < 0 || static_cast<std::size_t>(group) >= m.profiles.size()) {
-        throw ModelError("model: clustering label out of range for shape " +
-                         std::to_string(t));
-      }
-      Representative rep;
-      rep.job_name = interned.table.exemplars[t].job_name;
-      rep.training_index = first_job[t];
-      rep.count = interned.table.shapes[t].count;
-      rep.features = std::move(fitted.vectors[t]);
-      rep.self_norm = rep.features.norm();
-      m.representatives[static_cast<std::size_t>(group)].push_back(
-          std::move(rep));
-    }
-    for (std::size_t c = 0; c < clustering.groups.size(); ++c) {
-      const std::size_t medoid = clustering.groups[c].medoid;
-      const auto& reps = m.representatives[c];
-      for (std::size_t r = 0; r < reps.size(); ++r) {
-        if (reps[r].training_index == medoid) {
-          m.profiles[c].medoid = r;
-          break;
-        }
-      }
-    }
-    m.validate();
-    return m;
-  }
-
-  if (clustering.labels.size() != n || names.size() != n) {
-    throw ModelError(
-        "model: fitted features, clustering labels, and job names disagree "
-        "on the analysis-set size — results from different runs?");
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const int group = clustering.labels[i];
+  for (std::size_t t = 0; t < table.size(); ++t) {
+    const int group = shape_labels[t];
     if (group < 0 || static_cast<std::size_t>(group) >= m.profiles.size()) {
-      throw ModelError("model: clustering label out of range for job '" +
-                       names[i] + "'");
+      throw ModelError("model: cluster label out of range for shape " +
+                       std::to_string(t));
     }
     Representative rep;
-    rep.job_name = names[i];
-    rep.training_index = i;
-    rep.features = std::move(fitted.vectors[i]);
+    rep.job_name = table.exemplars[t].job_name;
+    rep.training_index = training_index[t];
+    rep.count = table.shapes[t].count;
+    rep.features = std::move(fitted.vectors[t]);
     rep.self_norm = rep.features.norm();
     m.representatives[static_cast<std::size_t>(group)].push_back(
         std::move(rep));
   }
 
-  // The group medoid is a global analysis-set index; serving wants it as a
-  // position inside the cluster's own representative list.
-  for (std::size_t c = 0; c < clustering.groups.size(); ++c) {
-    const std::size_t medoid = clustering.groups[c].medoid;
+  for (std::size_t c = 0; c < groups.size(); ++c) {
+    const std::size_t medoid = groups[c].medoid;
     const auto& reps = m.representatives[c];
     for (std::size_t r = 0; r < reps.size(); ++r) {
       if (reps[r].training_index == medoid) {
@@ -138,6 +78,45 @@ FittedModel build_model(const core::PipelineResult& result,
 
   m.validate();
   return m;
+}
+
+}  // namespace
+
+FittedModel build_model(const core::PipelineResult& result,
+                        core::FittedFeatures fitted,
+                        const core::PipelineConfig& config) {
+  const auto& clustering = result.clustering;
+  const core::InternedAnalysis& interned = result.interned;
+  const std::size_t shapes = interned.table.size();
+  if (shapes == 0) {
+    throw ModelError("model: cannot fit on an empty analysis set");
+  }
+  if (fitted.vectors.size() != shapes ||
+      clustering.labels.size() != interned.shape_of.size()) {
+    throw ModelError(
+        "model: fitted features, clustering labels, and the shape table "
+        "disagree on the analysis-set size — results from different runs?");
+  }
+
+  // The fitted vectors are per distinct shape, the clustering labels per
+  // job. Each shape's exemplar is a literal copy of its first sampled job,
+  // so that job's index is the shape's training index, and group medoids
+  // (first-job indices of medoid shapes) resolve in the same sequence.
+  constexpr std::uint64_t kUnseen = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> first_job(shapes, kUnseen);
+  std::vector<int> shape_label(shapes, -1);
+  for (std::size_t i = 0; i < interned.shape_of.size(); ++i) {
+    const std::uint32_t t = interned.shape_of[i];
+    if (t >= shapes) {
+      throw ModelError("model: shape id out of range in interned result");
+    }
+    if (first_job[t] == kUnseen) {
+      first_job[t] = i;
+      shape_label[t] = clustering.labels[i];
+    }
+  }
+  return assemble(interned.table, shape_label, first_job, clustering.groups,
+                  std::move(fitted), config);
 }
 
 FittedModel build_model_full(const core::FullTraceResult& result,
@@ -153,54 +132,13 @@ FittedModel build_model_full(const core::FullTraceResult& result,
         "model: fitted features, shape labels, and the shape table disagree "
         "on the distinct-shape count — results from different runs?");
   }
-
-  FittedModel m;
-  m.wl = config.similarity.wl;
-  m.use_type_labels = config.similarity.use_type_labels;
-  m.normalize = config.similarity.normalize;
-  m.conflated = config.analyze_conflated;
-  m.dictionary = std::move(fitted.dictionary);
-
-  m.profiles.reserve(result.groups.size());
-  for (const core::ClusterGroupStats& g : result.groups) {
-    m.profiles.push_back(make_profile(g));
-  }
-  m.representatives.resize(m.profiles.size());
-
-  for (std::size_t t = 0; t < shapes; ++t) {
-    const int group = result.shape_labels[t];
-    if (group < 0 || static_cast<std::size_t>(group) >= m.profiles.size()) {
-      throw ModelError("model: shape label out of range for shape " +
-                       std::to_string(t));
-    }
-    Representative rep;
-    rep.job_name = result.table.exemplars[t].job_name;
-    // Training indices address the fit-time sequence; on a full-trace fit
-    // that sequence is the shape table itself, so the shape id works (dense,
-    // unique, < training_weight()).
-    rep.training_index = t;
-    rep.count = result.table.shapes[t].count;
-    rep.features = std::move(fitted.vectors[t]);
-    rep.self_norm = rep.features.norm();
-    m.representatives[static_cast<std::size_t>(group)].push_back(
-        std::move(rep));
-  }
-
-  // Full-trace group medoids are shape ids already — remap each to its
-  // position inside the cluster's representative list.
-  for (std::size_t c = 0; c < result.groups.size(); ++c) {
-    const std::size_t medoid = result.groups[c].medoid;
-    const auto& reps = m.representatives[c];
-    for (std::size_t r = 0; r < reps.size(); ++r) {
-      if (reps[r].training_index == medoid) {
-        m.profiles[c].medoid = r;
-        break;
-      }
-    }
-  }
-
-  m.validate();
-  return m;
+  // Training indices address the fit-time sequence; on a full-trace fit
+  // that sequence is the shape table itself, so the shape id works (dense,
+  // unique, < training_weight()), and group medoids are shape ids already.
+  std::vector<std::uint64_t> shape_ids(shapes);
+  std::iota(shape_ids.begin(), shape_ids.end(), std::uint64_t{0});
+  return assemble(result.table, result.shape_labels, shape_ids, result.groups,
+                  std::move(fitted), config);
 }
 
 }  // namespace cwgl::model

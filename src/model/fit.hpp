@@ -9,17 +9,15 @@ namespace cwgl::model {
 ///
 /// `result` must come from `CharacterizationPipeline::run(trace, pool,
 /// &fitted)` with the SAME `fitted` passed here — the feature vectors, the
-/// clustering labels, and the job names must describe the same analysis set
-/// in the same order. `config` supplies the kernel settings the dictionary
+/// clustering labels, and the shape table must describe the same analysis
+/// set in the same order. `config` supplies the kernel settings the dictionary
 /// was built under.
 ///
-/// Every analyzed job becomes a representative of its cluster, with the
-/// group medoid remapped to a within-cluster index. On a shape-interned run
-/// (`result.interned` present) there is one representative per DISTINCT
-/// shape instead, carrying the shape's multiplicity as its count — same-
-/// shape jobs have identical WL vectors, so serving's nearest-representative
-/// classification is unchanged while the snapshot shrinks to the distinct-
-/// shape count. Validates the assembled model before returning (throws
+/// Every DISTINCT shape of the analysis set becomes one representative of
+/// its cluster, carrying the shape's multiplicity as its count, with the
+/// group medoid remapped to a within-cluster index. Same-shape jobs have
+/// identical WL vectors, so serving's nearest-representative classification
+/// is what one representative per job would give. Validates the assembled model before returning (throws
 /// ModelError), so a snapshot produced here always round-trips through
 /// save/load.
 FittedModel build_model(const core::PipelineResult& result,

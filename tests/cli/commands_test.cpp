@@ -340,7 +340,7 @@ TEST(Cli, FitPredictServeBenchRoundTrip) {
 
 TEST(Cli, CharacterizeInternEmitsTableStats) {
   const auto r = run({"characterize", "--jobs", "600", "--sample", "20",
-                      "--intern", "--json"});
+                      "--json"});
   EXPECT_EQ(r.code, 0) << r.err;
   const util::JsonValue doc = util::parse_json(r.out);
   const util::JsonValue& intern = doc.at("intern");
@@ -350,17 +350,48 @@ TEST(Cli, CharacterizeInternEmitsTableStats) {
             intern.at("total_jobs").as_number());
   EXPECT_GE(intern.at("hits").as_number(), 0.0);
   EXPECT_EQ(intern.at("hash_collisions").as_number(), 0.0);
-  // All the paper artifacts survive the interned path.
-  EXPECT_NE(r.out.find("\"fig3\""), std::string::npos);
-  EXPECT_NE(r.out.find("\"fig9\""), std::string::npos);
+  // Fig. 6 and the similarity map still list every sampled job.
+  EXPECT_EQ(doc.at("fig6").at("rows").as_array().size(), 20u);
+  EXPECT_EQ(doc.at("fig7").at("jobs").as_array().size(), 20u);
+  EXPECT_EQ(doc.at("fig9").at("labels").as_array().size(), 20u);
 }
 
 TEST(Cli, CharacterizeInternTextMentionsShapes) {
-  const auto r = run({"characterize", "--jobs", "600", "--sample", "20",
-                      "--intern"});
+  const auto r = run({"characterize", "--jobs", "600", "--sample", "20"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("shape interning:"), std::string::npos);
   EXPECT_NE(r.out.find("Fig 3"), std::string::npos);
+}
+
+TEST(Cli, InternIsNotAnOptionOfCharacterizeOrFit) {
+  for (const char* command : {"characterize", "fit"}) {
+    const auto r = run({command, "--jobs", "200", "--intern"});
+    EXPECT_EQ(r.code, 2) << command;
+    EXPECT_NE(r.err.find("unknown option(s): --intern"), std::string::npos)
+        << command << ": " << r.err;
+  }
+}
+
+TEST(Cli, FullTakesNoValue) {
+  for (const char* command : {"characterize", "fit"}) {
+    for (const char* full : {"--full=landmark", "--full=minibatch"}) {
+      const auto r = run({command, "--jobs", "200", full});
+      EXPECT_EQ(r.code, 2) << command << " " << full;
+      EXPECT_NE(r.err.find("--full takes no value"), std::string::npos)
+          << command << " " << full << ": " << r.err;
+    }
+  }
+}
+
+TEST(Cli, FullTraceJsonNamesMiniBatchOnly) {
+  const auto r = run({"characterize", "--full", "--jobs", "2000", "--json"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  const util::JsonValue doc = util::parse_json(r.out);
+  EXPECT_EQ(doc.at("schema").as_string(), "cwgl-full-v1");
+  EXPECT_EQ(doc.at("method").as_string(), "minibatch");
+  for (const char* gone : {"degraded", "landmarks", "embedding_dims"}) {
+    EXPECT_FALSE(doc.contains(gone)) << gone;
+  }
 }
 
 TEST(Cli, IngestInternReportsShapeTable) {
@@ -374,19 +405,77 @@ TEST(Cli, IngestInternReportsShapeTable) {
   EXPECT_GT(doc.at("built").at("dags").as_number(), 0.0);
 }
 
+TEST(Cli, FullFitJsonNamesMiniBatchOnly) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "cwgl_cli_full_fit_test";
+  std::filesystem::create_directories(dir);
+  const std::string model = (dir / "model.cwgl").string();
+  const auto fit = run({"fit", "--full", "--jobs", "2000", "--json", "--out",
+                        model.c_str()});
+  EXPECT_EQ(fit.code, 0) << fit.err;
+  const util::JsonValue doc = util::parse_json(fit.out);
+  EXPECT_EQ(doc.at("schema").as_string(), "cwgl-fit-v1");
+  EXPECT_TRUE(doc.at("full").as_bool());
+  EXPECT_EQ(doc.at("method").as_string(), "minibatch");
+  for (const char* gone : {"degraded", "landmarks", "embedding_dims"}) {
+    EXPECT_FALSE(doc.contains(gone)) << gone;
+  }
+  EXPECT_TRUE(doc.at("self_check").at("ok").as_bool());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Cli, FitInternSelfCheckHolds) {
   const auto dir =
       std::filesystem::temp_directory_path() / "cwgl_cli_fit_intern_test";
   std::filesystem::create_directories(dir);
   const std::string model = (dir / "model.cwgl").string();
   const auto fit = run({"fit", "--jobs", "300", "--seed", "7", "--sample",
-                        "40", "--clusters", "3", "--intern", "--out",
-                        model.c_str()});
+                        "40", "--clusters", "3", "--out", model.c_str()});
   EXPECT_EQ(fit.code, 0) << fit.err;
-  // The self-check classifies every SAMPLED job (not just every shape)
-  // through the per-shape snapshot — all 40 must reproduce their cluster.
+  // The text report's self-check line counts every SAMPLED job classified
+  // through the per-shape snapshot.
   EXPECT_NE(fit.out.find("self-check: 40/40"), std::string::npos) << fit.out;
   EXPECT_NE(fit.out.find("representatives"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Cli, FitStoresOneRepresentativePerShape) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "cwgl_cli_fit_shapes_test";
+  std::filesystem::create_directories(dir);
+  const std::string model = (dir / "model.cwgl").string();
+  const auto fit = run({"fit", "--jobs", "300", "--seed", "7", "--sample",
+                        "40", "--clusters", "3", "--json", "--out",
+                        model.c_str()});
+  EXPECT_EQ(fit.code, 0) << fit.err;
+  const util::JsonValue doc = util::parse_json(fit.out);
+  EXPECT_EQ(doc.at("training_jobs").as_number(), 40.0);
+  EXPECT_LT(doc.at("representatives").as_number(), 40.0)
+      << "the sample has recurring shapes; the snapshot must dedup them";
+  // The self-check classifies every SAMPLED job (not just every shape)
+  // through the per-shape snapshot — all 40 must reproduce their cluster.
+  EXPECT_EQ(doc.at("self_check").at("agree").as_number(), 40.0);
+  EXPECT_TRUE(doc.at("self_check").at("ok").as_bool());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Cli, FitJsonTimingsCoverLoadAndSelfCheck) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "cwgl_cli_fit_timings_test";
+  std::filesystem::create_directories(dir);
+  const std::string model = (dir / "model.cwgl").string();
+  const auto fit = run({"fit", "--jobs", "300", "--sample", "30", "--json",
+                        "--out", model.c_str()});
+  EXPECT_EQ(fit.code, 0) << fit.err;
+  const util::JsonValue doc = util::parse_json(fit.out);
+  const double load_ms = doc.at("timings").at("load_ms").as_number();
+  const double total_ms = doc.at("timings").at("total_ms").as_number();
+  const double elapsed_ms = doc.at("elapsed_ms").as_number();
+  EXPECT_GE(load_ms, 0.0);
+  EXPECT_GE(elapsed_ms, 0.0);
+  // Loading, then fit + save (elapsed_ms), then the self-check: total_ms
+  // spans all three.
+  EXPECT_LE(load_ms + elapsed_ms, total_ms);
   std::filesystem::remove_all(dir);
 }
 

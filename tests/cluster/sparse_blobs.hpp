@@ -3,7 +3,7 @@
 // Shared corpus generator for the scalable-clustering tests: G groups of
 // sparse feature vectors with disjoint dominant feature blocks, small
 // off-block noise, L2 normalization, and integer-ish multiplicities — the
-// same shape the full-trace pipeline feeds cluster_at_scale (normalized WL
+// same shape the full-trace pipeline feeds minibatch_kmeans (normalized WL
 // vectors of distinct shapes, count-weighted).
 
 #include <algorithm>

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "trace/generator.hpp"
 #include "trace/taskname.hpp"
 
@@ -29,6 +33,12 @@ JobDag make_job(const std::vector<std::string>& names, std::string job_name) {
   return *job;
 }
 
+/// A count of 1 per job: how a plain job list calls the count-weighted
+/// reports.
+std::vector<std::uint64_t> ones(std::span<const JobDag> jobs) {
+  return std::vector<std::uint64_t>(jobs.size(), 1);
+}
+
 std::vector<JobDag> tiny_corpus() {
   return {
       make_job({"M1", "R2_1"}, "j_chain2"),
@@ -41,7 +51,7 @@ std::vector<JobDag> tiny_corpus() {
 
 TEST(StructuralReport, GroupsAndHistogramConsistent) {
   const auto jobs = tiny_corpus();
-  const auto report = StructuralReport::compute(jobs);
+  const auto report = StructuralReport::compute(jobs, ones(jobs));
   EXPECT_EQ(report.size_histogram.total(), jobs.size());
   EXPECT_EQ(report.distinct_sizes, 3u);  // sizes 2, 3, 4
   ASSERT_EQ(report.groups.size(), 3u);
@@ -54,7 +64,7 @@ TEST(StructuralReport, GroupsAndHistogramConsistent) {
 
 TEST(StructuralReport, MaxFeaturesPerGroup) {
   const auto jobs = tiny_corpus();
-  const auto report = StructuralReport::compute(jobs);
+  const auto report = StructuralReport::compute(jobs, ones(jobs));
   // Size-3 group contains chain3 (cp 3, width 1), tri (cp 2, width 2),
   // join (cp 3, width 1): maxima are cp 3, width 2.
   EXPECT_EQ(report.groups[1].max_critical_path, 3);
@@ -65,14 +75,14 @@ TEST(StructuralReport, MaxFeaturesPerGroup) {
 }
 
 TEST(StructuralReport, EmptyInput) {
-  const auto report = StructuralReport::compute({});
+  const auto report = StructuralReport::compute({}, {});
   EXPECT_EQ(report.distinct_sizes, 0u);
   EXPECT_TRUE(report.groups.empty());
 }
 
 TEST(ConflationReport, TriangleShrinksChainDoesNot) {
   const auto jobs = tiny_corpus();
-  const auto report = ConflationReport::compute(jobs);
+  const auto report = ConflationReport::compute(jobs, ones(jobs));
   EXPECT_EQ(report.before.total(), jobs.size());
   EXPECT_EQ(report.after.total(), jobs.size());
   // j_tri (3 tasks) and j_tri4 (4 tasks) collapse to 2; chains unchanged.
@@ -85,13 +95,13 @@ TEST(ConflationReport, TriangleShrinksChainDoesNot) {
 TEST(ConflationReport, SmallerJobsRatioIncreasesAfterMerge) {
   // The paper's Fig. 3 observation: the ratio of small jobs rises.
   const auto jobs = tiny_corpus();
-  const auto report = ConflationReport::compute(jobs);
+  const auto report = ConflationReport::compute(jobs, ones(jobs));
   EXPECT_GT(report.after.fraction(2), report.before.fraction(2));
 }
 
 TEST(TaskTypeReport, CountsPerJob) {
   const auto jobs = tiny_corpus();
-  const auto report = TaskTypeReport::compute(jobs);
+  const auto report = TaskTypeReport::compute(jobs, ones(jobs));
   ASSERT_EQ(report.rows.size(), jobs.size());
   const auto& tri = report.rows[2];
   EXPECT_EQ(tri.m_tasks, 2);
@@ -103,7 +113,7 @@ TEST(TaskTypeReport, CountsPerJob) {
 
 TEST(TaskTypeReport, ModelInference) {
   const auto jobs = tiny_corpus();
-  const auto report = TaskTypeReport::compute(jobs);
+  const auto report = TaskTypeReport::compute(jobs, ones(jobs));
   EXPECT_EQ(report.rows[0].model, "map-reduce");            // 2-chain, cp 2
   EXPECT_EQ(report.rows[1].model, "multi-stage map-reduce");  // 3-chain, cp 3
   EXPECT_EQ(report.rows[2].model, "map-reduce");            // triangle, cp 2
@@ -116,7 +126,7 @@ TEST(TaskTypeReport, ModelInference) {
 TEST(TaskTypeReport, MergeStageDetected) {
   // M3 consumes R2's output: the Map-Reduce-Merge mode (Section V-C).
   const std::vector<JobDag> jobs{make_job({"M1", "R2_1", "M3_2"}, "j_merge")};
-  const auto report = TaskTypeReport::compute(jobs);
+  const auto report = TaskTypeReport::compute(jobs, ones(jobs));
   EXPECT_EQ(report.rows[0].model, "map-reduce-merge");
   EXPECT_EQ(report.map_reduce_merge_jobs, 1u);
 }
@@ -126,7 +136,7 @@ TEST(TaskTypeReport, JoinTakesPrecedenceOverMerge) {
   // map-join-reduce (the join is the more distinctive phase).
   const std::vector<JobDag> jobs{
       make_job({"M1", "M2", "J3_2_1", "R4_3", "M5_4"}, "j_both")};
-  const auto report = TaskTypeReport::compute(jobs);
+  const auto report = TaskTypeReport::compute(jobs, ones(jobs));
   EXPECT_EQ(report.rows[0].model, "map-join-reduce");
 }
 
@@ -141,7 +151,7 @@ TEST(TaskTypeReport, GeneratedWorkloadContainsMergeJobs) {
     if (!g.is_dag) continue;
     if (auto job = build_job_dag(g.job_name, g.tasks)) jobs.push_back(*job);
   }
-  const auto report = TaskTypeReport::compute(jobs);
+  const auto report = TaskTypeReport::compute(jobs, ones(jobs));
   EXPECT_GT(report.map_reduce_merge_jobs, 10u);
   // Still a minority mode, as in the paper.
   EXPECT_LT(report.map_reduce_merge_jobs, report.map_reduce_jobs);
@@ -149,7 +159,7 @@ TEST(TaskTypeReport, GeneratedWorkloadContainsMergeJobs) {
 
 TEST(PatternCensus, CountsAndFractions) {
   const auto jobs = tiny_corpus();
-  const auto census = PatternCensus::compute(jobs);
+  const auto census = PatternCensus::compute(jobs, ones(jobs));
   EXPECT_EQ(census.total, jobs.size());
   EXPECT_DOUBLE_EQ(census.fraction(graph::ShapePattern::StraightChain),
                    3.0 / 5.0);
@@ -174,7 +184,7 @@ TEST(PatternCensus, GeneratedWorkloadMatchesPaperFrequencies) {
       jobs.push_back(std::move(*job));
     }
   }
-  const auto census = PatternCensus::compute(jobs);
+  const auto census = PatternCensus::compute(jobs, ones(jobs));
   // Paper: 58% straight chains, 37% inverted triangles.
   EXPECT_NEAR(census.fraction(graph::ShapePattern::StraightChain), 0.58, 0.08);
   EXPECT_NEAR(census.fraction(graph::ShapePattern::InvertedTriangle), 0.37,

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
 
-#include "cluster/scale.hpp"
 #include "core/pipeline.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
@@ -63,21 +64,14 @@ TEST(FullTrace, AgreesWithExactPipelineOnSubsample) {
   EXPECT_GT(result.agreement.nmi, 0.5);
 }
 
-TEST(FullTrace, DeterministicForSeedBothMethods) {
+TEST(FullTrace, DeterministicForSeed) {
   const auto trace = make_trace(3000, 5);
-  for (const cluster::ScaleMethod method :
-       {cluster::ScaleMethod::MiniBatch, cluster::ScaleMethod::Landmark}) {
-    PipelineConfig cfg;
-    cfg.full_method = method;
-    const CharacterizationPipeline pipeline(cfg);
-    const auto a = pipeline.run_full(trace);
-    const auto b = pipeline.run_full(trace);
-    EXPECT_EQ(a.shape_labels, b.shape_labels)
-        << cluster::to_string(method);
-    EXPECT_EQ(a.method, method) << cluster::to_string(method);
-    EXPECT_DOUBLE_EQ(a.agreement.ari, b.agreement.ari)
-        << cluster::to_string(method);
-  }
+  const CharacterizationPipeline pipeline{PipelineConfig{}};
+  const auto a = pipeline.run_full(trace);
+  const auto b = pipeline.run_full(trace);
+  EXPECT_EQ(a.shape_labels, b.shape_labels);
+  EXPECT_DOUBLE_EQ(a.inertia, b.inertia);
+  EXPECT_DOUBLE_EQ(a.agreement.ari, b.agreement.ari);
 }
 
 TEST(FullTrace, StreamOverloadMatchesTraceOverload) {
@@ -109,17 +103,57 @@ TEST(FullTrace, PooledMatchesSerial) {
   EXPECT_DOUBLE_EQ(pooled.agreement.ari, serial.agreement.ari);
 }
 
-TEST(FullTrace, LandmarkMethodReportsItsMetadata) {
-  const auto trace = make_trace(3000, 13);
-  PipelineConfig cfg;
-  cfg.full_method = cluster::ScaleMethod::Landmark;
-  const CharacterizationPipeline pipeline(cfg);
+TEST(FullTrace, GroupPopulationsCoverEveryJob) {
+  const auto trace = make_trace(2500, 13);
+  const CharacterizationPipeline pipeline{PipelineConfig{}};
   const auto result = pipeline.run_full(trace);
-  if (!result.degraded) {
-    EXPECT_EQ(result.method, cluster::ScaleMethod::Landmark);
-    EXPECT_GT(result.landmarks, 0u);
-    EXPECT_GT(result.embedding_dims, 0u);
+  // Populations count jobs, not shapes: each equals the jobs carrying the
+  // group's label, and together they cover the whole eligible workload.
+  const auto jobs = result.job_labels();
+  std::uint64_t total = 0;
+  double fractions = 0.0;
+  for (std::size_t g = 0; g < result.groups.size(); ++g) {
+    const auto members = std::count(jobs.begin(), jobs.end(),
+                                    static_cast<int>(g));
+    EXPECT_EQ(result.groups[g].population, static_cast<std::size_t>(members))
+        << "group " << g;
+    total += result.groups[g].population;
+    fractions += result.groups[g].population_fraction;
   }
+  EXPECT_EQ(total, result.total_jobs());
+  EXPECT_NEAR(fractions, 1.0, 1e-12);
+}
+
+TEST(FullTrace, ClusterCountClampedToDistinctShapes) {
+  const auto trace = make_trace(60, 19);
+  PipelineConfig cfg;
+  cfg.clustering.clusters = 1000;
+  const auto result = CharacterizationPipeline(cfg).run_full(trace);
+  const std::size_t m = result.table.size();
+  ASSERT_LT(m, 1000u);
+  EXPECT_EQ(result.groups.size(), m);
+  for (int l : result.shape_labels) {
+    EXPECT_GE(l, 0);
+    EXPECT_LT(l, static_cast<int>(m));
+  }
+}
+
+TEST(FullTrace, ConflatedAnalysisKeepsRawShapeTable) {
+  const auto trace = make_trace(2000, 23);
+  PipelineConfig merged_cfg;
+  merged_cfg.analyze_conflated = true;
+  FittedFeatures raw_features, merged_features;
+  const auto raw = CharacterizationPipeline{PipelineConfig{}}.run_full(
+      trace, nullptr, &raw_features);
+  const auto merged = CharacterizationPipeline(merged_cfg)
+                          .run_full(trace, nullptr, &merged_features);
+  // Jobs are interned by their raw shape either way; only the features the
+  // clustering sees come from the conflated exemplars.
+  EXPECT_EQ(merged.table.size(), raw.table.size());
+  EXPECT_EQ(merged.shape_of, raw.shape_of);
+  ASSERT_EQ(merged.shape_labels.size(), merged.table.size());
+  ASSERT_EQ(merged_features.vectors.size(), merged.table.size());
+  EXPECT_NE(merged_features.dictionary, raw_features.dictionary);
 }
 
 TEST(FullTrace, EmptyTraceThrows) {

@@ -115,6 +115,31 @@ TEST(Pipeline, FullRunProducesConsistentResult) {
   EXPECT_EQ(result.census.total_jobs, 1500u);
 }
 
+TEST(Pipeline, TaskTypeRowsFollowEachSampledJob) {
+  const auto trace = make_trace();
+  const auto result = CharacterizationPipeline(small_pipeline()).run(trace);
+  const auto& rows = result.task_types.rows;
+  const auto& shape_of = result.interned.shape_of;
+  ASSERT_EQ(rows.size(), result.sample.size());
+  ASSERT_EQ(shape_of.size(), result.sample.size());
+  ASSERT_LT(result.interned.table.size(), result.sample.size())
+      << "the sample should repeat some shapes";
+  // Fig. 6 is computed per shape and expanded: each row carries its own
+  // job's name, and jobs of one shape get the same figures.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].job_name, result.sample[i].job_name);
+    EXPECT_EQ(rows[i].size, result.sample[i].size());
+    for (std::size_t j = 0; j < i; ++j) {
+      if (shape_of[i] != shape_of[j]) continue;
+      EXPECT_EQ(rows[i].m_tasks, rows[j].m_tasks);
+      EXPECT_EQ(rows[i].j_tasks, rows[j].j_tasks);
+      EXPECT_EQ(rows[i].r_tasks, rows[j].r_tasks);
+      EXPECT_EQ(rows[i].critical_path, rows[j].critical_path);
+      EXPECT_EQ(rows[i].model, rows[j].model);
+    }
+  }
+}
+
 TEST(Pipeline, ConflatedAnalysisUsesConflatedSizes) {
   const auto trace = make_trace();
   PipelineConfig raw_cfg = small_pipeline();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <utility>
+#include <vector>
+
 #include "graph/canonical.hpp"
 #include "trace/generator.hpp"
 #include "util/error.hpp"
@@ -72,6 +76,69 @@ TEST(AreIsomorphic, SelfLoopsRespected) {
   // Same size/edge count, different loop placement relative to direction:
   // vertex with loop has out-degree 2 vs in-degree 2 — not isomorphic.
   EXPECT_FALSE(are_isomorphic(with_loop, {}, without, {}));
+}
+
+TEST(AreIsomorphic, RenumberedSourceBlocksAnswerFast) {
+  // 13 M -> 4 R -> 1 J: R13 reads M0..M3, R14..R16 read three M each, and
+  // every R feeds J17. The copy numbers the four-source block last and
+  // interleaves the rest, so a matcher walking vertices in index order
+  // permutes all 13 sources before any R edge rejects a choice.
+  std::vector<Edge> edges;
+  const int block_start[] = {0, 4, 7, 10, 13};
+  for (int r = 0; r < 4; ++r) {
+    for (int m = block_start[r]; m < block_start[r + 1]; ++m) {
+      edges.push_back({m, 13 + r});
+    }
+    edges.push_back({13 + r, 17});
+  }
+  const Digraph a(18, edges);
+  std::vector<int> labels(18, 'M');
+  for (int r = 13; r < 17; ++r) labels[r] = 'R';
+  labels[17] = 'J';
+  const std::vector<int> perm{9, 10, 11, 12, 0, 3, 6, 1, 4, 7, 2, 5, 8,
+                              13, 14, 15, 16, 17};
+  const Digraph b = permuted(a, perm);
+  ASSERT_EQ(canonical_hash(a, labels), canonical_hash(b, labels));
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(are_isomorphic(a, labels, b, labels));
+  EXPECT_TRUE(are_isomorphic(b, labels, a, labels));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
+TEST(AreIsomorphic, PermutedComponentsMatched) {
+  // Four components, one an isolated vertex: the matching order restarts
+  // its breadth-first walk at each, and labels pin which chain is which.
+  const Digraph g(9, std::vector<Edge>{{0, 1}, {1, 2}, {3, 5}, {4, 5}, {7, 8}});
+  const std::vector<int> labels{'M', 'R', 'R', 'M', 'M', 'J', 'M', 'M', 'M'};
+  const std::vector<int> perm{8, 2, 5, 0, 6, 3, 4, 1, 7};
+  std::vector<int> permuted_labels(labels.size());
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    permuted_labels[perm[v]] = labels[v];
+  }
+  const Digraph h = permuted(g, perm);
+  EXPECT_TRUE(are_isomorphic(g, labels, h, permuted_labels));
+  EXPECT_TRUE(are_isomorphic(h, permuted_labels, g, labels));
+  // Swapping the labels of the two chain tails breaks it.
+  std::swap(permuted_labels[perm[2]], permuted_labels[perm[8]]);
+  EXPECT_FALSE(are_isomorphic(g, labels, h, permuted_labels));
+}
+
+TEST(AreIsomorphic, EqualSignaturesDifferentWiringRejected) {
+  // Every vertex has the same (label, in, out) signature multiset on both
+  // sides, so only the search can tell these apart.
+  const Digraph two_chains(6, std::vector<Edge>{{0, 1}, {1, 2}, {3, 4}, {4, 5}});
+  const Digraph long_and_short(6,
+                               std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {4, 5}});
+  EXPECT_FALSE(are_isomorphic(two_chains, {}, long_and_short, {}));
+  EXPECT_FALSE(are_isomorphic(long_and_short, {}, two_chains, {}));
+
+  const Digraph six_cycle(
+      6, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
+  const Digraph two_triangles(
+      6, std::vector<Edge>{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}});
+  EXPECT_FALSE(are_isomorphic(six_cycle, {}, two_triangles, {}));
+  EXPECT_FALSE(are_isomorphic(two_triangles, {}, six_cycle, {}));
 }
 
 TEST(AreIsomorphic, Validation) {

@@ -53,7 +53,9 @@ Fit run_fit(util::ThreadPool* pool) {
 TEST(ModelFitTest, SnapshotReproducesPipelineClusterAssignments) {
   util::ThreadPool pool(4);
   const Fit fit = run_fit(&pool);
-  ASSERT_EQ(fit.model.training_jobs(), fit.result.sample.size());
+  // One representative per distinct shape, weighted by its multiplicity.
+  ASSERT_EQ(fit.model.training_jobs(), fit.result.interned.table.size());
+  ASSERT_EQ(fit.model.training_weight(), fit.result.sample.size());
 
   FittedModel copy = fit.model;
   const serve::Classifier classifier(std::move(copy));

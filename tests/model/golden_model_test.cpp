@@ -1,15 +1,19 @@
 // Golden-model regression: a tiny fitted snapshot is committed under
-// tests/data/ (produced by `cwgl fit` on the bundled example trace, see the
-// README quickstart). This suite pins the artifact's observable behavior —
-// if the WL featurizer, the frozen-dictionary id assignment, the kernel
+// tests/data/. It was written by an earlier `cwgl fit` that stored one
+// representative per sampled job (60 of them); `cwgl fit` now stores one
+// per distinct shape. The committed per-job artifact is kept as it is, as
+// the pin that such snapshots still load and classify, and is not
+// regenerated. This suite pins its observable behavior — if the WL
+// featurizer, the frozen-dictionary id assignment, the kernel
 // normalization, or the binary format drifts incompatibly, these tests go
 // red BEFORE any deployed model silently misclassifies.
 //
-// Regenerating after an INTENTIONAL format/pipeline change:
+// Replacing the artifact after an INTENTIONAL incompatible change:
 //   cwgl generate --out tests/data/example_trace --jobs 300 --seed 7 --no-instances
-//   cwgl fit --trace tests/data/example_trace --sample 60 --clusters 4 \
-//            --out tests/data/example_model.cwgl
-// then re-pin the expected clusters below from
+//   cwgl fit --trace tests/data/example_trace --sample 60 --clusters 4 --out tests/data/example_model.cwgl
+// The fresh snapshot is per shape, so ArtifactLoadsWithPinnedShape must then
+// expect its distinct-shape count of representatives (the training weight
+// stays 60); re-pin the expected clusters below from
 //   cwgl predict --model tests/data/example_model.cwgl tests/data/probe_jobs.csv
 
 #include <gtest/gtest.h>
@@ -86,22 +90,20 @@ TEST(GoldenModelTest, HeldOutProbesLandInPinnedClusters) {
 }
 
 TEST(GoldenModelTest, InternedFitReproducesGoldenClassifications) {
-  // Re-fit on the committed example trace with shape interning enabled and
-  // the exact configuration of the golden recipe. The interned snapshot is
-  // smaller (one representative per distinct shape) but must classify the
-  // held-out probes into the SAME pinned clusters as the committed direct
-  // model — the serving contract of `--intern`.
+  // Re-fit on the committed example trace with the exact configuration of
+  // the golden recipe. The fresh snapshot is smaller than the committed
+  // one-representative-per-job artifact (one representative per distinct
+  // shape) but must classify the held-out probes into the SAME pinned
+  // clusters — old per-job snapshots and new per-shape ones serve alike.
   const trace::Trace data =
       trace::read_trace(std::string(kDataDir) + "/example_trace");
   core::PipelineConfig cfg;
   cfg.sample_size = kExpectedTrainingJobs;
   cfg.clustering.clusters = kExpectedClusters;
-  cfg.intern_shapes = true;
   util::ThreadPool pool;
   core::FittedFeatures fitted;
   const core::PipelineResult result =
       core::CharacterizationPipeline(cfg).run(data, &pool, &fitted);
-  ASSERT_TRUE(result.interned.has_value());
 
   const FittedModel snapshot =
       model::build_model(result, std::move(fitted), cfg);
