@@ -49,8 +49,8 @@ void print_figure(bench::Reporter& reporter) {
 
   kernel::WlSubtreeFeaturizer wl_ref;
   const auto reference_gram = kernel::gram_matrix(wl_ref, corpus);
-  const auto reference =
-      core::ClusteringAnalysis::compute(reference_gram, sample, {});
+  const auto reference = core::ClusteringAnalysis::compute(
+      reference_gram, sample, bench::unit_counts(sample.size()), {});
 
   std::cout << util::pad_right("kernel", 18) << util::pad_left("ARI vs WL", 11)
             << util::pad_left("silhouette", 12) << util::pad_left("build ms", 10)
@@ -60,7 +60,8 @@ void print_figure(bench::Reporter& reporter) {
     obs::Stopwatch timer;
     const auto gram = kernel::gram_matrix(*featurizer, corpus);
     const double ms = timer.millis();
-    const auto clustering = core::ClusteringAnalysis::compute(gram, sample, {});
+    const auto clustering = core::ClusteringAnalysis::compute(
+        gram, sample, bench::unit_counts(sample.size()), {});
     const double ari =
         cluster::adjusted_rand_index(clustering.labels, reference.labels);
     std::cout << util::pad_right(std::string(featurizer->name()), 18)

@@ -48,10 +48,10 @@ void print_figure(bench::Reporter& reporter) {
   const auto merged_sim = core::SimilarityAnalysis::compute(conflated);
   const double merged_ms = timer.millis();
 
-  const auto raw_clusters =
-      core::ClusteringAnalysis::compute(raw_sim.gram, sample, {});
-  const auto merged_clusters =
-      core::ClusteringAnalysis::compute(merged_sim.gram, conflated, {});
+  const auto raw_clusters = core::ClusteringAnalysis::compute(
+      raw_sim.gram, sample, bench::unit_counts(sample.size()), {});
+  const auto merged_clusters = core::ClusteringAnalysis::compute(
+      merged_sim.gram, conflated, bench::unit_counts(conflated.size()), {});
   const double ari = cluster::adjusted_rand_index(raw_clusters.labels,
                                                   merged_clusters.labels);
 

@@ -30,7 +30,7 @@ void print_figure(bench::Reporter& reporter) {
   reference_options.wl.iterations = 3;
   const auto reference = core::ClusteringAnalysis::compute(
       core::SimilarityAnalysis::compute(sample, reference_options, &pool).gram,
-      sample, {});
+      sample, bench::unit_counts(sample.size()), {});
 
   std::cout << util::pad_left("h", 3) << util::pad_left("ARI vs h=3", 12)
             << util::pad_left("silhouette", 12)
@@ -39,8 +39,8 @@ void print_figure(bench::Reporter& reporter) {
     core::SimilarityOptions options;
     options.wl.iterations = h;
     const auto sim = core::SimilarityAnalysis::compute(sample, options, &pool);
-    const auto clustering =
-        core::ClusteringAnalysis::compute(sim.gram, sample, {});
+    const auto clustering = core::ClusteringAnalysis::compute(
+        sim.gram, sample, bench::unit_counts(sample.size()), {});
     const double ari =
         cluster::adjusted_rand_index(clustering.labels, reference.labels);
     std::cout << util::pad_left(std::to_string(h), 3)

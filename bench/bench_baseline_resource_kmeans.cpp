@@ -31,8 +31,8 @@ void print_figure(bench::Reporter& reporter) {
   const auto sample = bench::make_experiment_set();
   util::ThreadPool pool;
   const auto similarity = core::SimilarityAnalysis::compute(sample, {}, &pool);
-  const auto topology =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, {});
+  const auto topology = core::ClusteringAnalysis::compute(
+      similarity.gram, sample, bench::unit_counts(sample.size()), {});
   const auto resource = core::resource_kmeans(sample, 5);
 
   std::cout << "agreement topology vs resource clustering: ARI "
@@ -82,7 +82,8 @@ void BM_TopologyClustering(benchmark::State& state) {
   for (auto _ : state) {
     const auto similarity = core::SimilarityAnalysis::compute(sample);
     benchmark::DoNotOptimize(
-        core::ClusteringAnalysis::compute(similarity.gram, sample, {}));
+        core::ClusteringAnalysis::compute(
+            similarity.gram, sample, bench::unit_counts(sample.size()), {}));
   }
 }
 BENCHMARK(BM_TopologyClustering)->Unit(benchmark::kMillisecond);

@@ -38,8 +38,9 @@ Fixture make_fixture() {
   util::ThreadPool pool;
   const auto similarity = core::SimilarityAnalysis::compute(sample, {}, &pool);
   core::ClusteringOptions cluster_options;
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, cluster_options);
+  const auto clustering = core::ClusteringAnalysis::compute(
+      similarity.gram, sample, bench::unit_counts(sample.size()),
+      cluster_options);
   Fixture f;
   f.jobs = sched::jobs_from_dags(sample, /*inter_arrival=*/1.0);
   sched::attach_hints(f.jobs, clustering.labels);

@@ -44,8 +44,8 @@ void print_figure(bench::Reporter& reporter) {
 
     obs::Stopwatch exact_timer;
     const auto similarity = core::SimilarityAnalysis::compute(sample);
-    const auto spectral =
-        core::ClusteringAnalysis::compute(similarity.gram, sample, {});
+    const auto spectral = core::ClusteringAnalysis::compute(
+        similarity.gram, sample, bench::unit_counts(sample.size()), {});
     const double exact_ms = exact_timer.millis();
 
     obs::Stopwatch embed_timer;
@@ -55,7 +55,9 @@ void print_figure(bench::Reporter& reporter) {
     const auto embeddings = kernel::wl_embedding_matrix(corpus, cfg);
     cluster::KMeansOptions km_options;
     km_options.seed = 11;
-    const auto km = cluster::kmeans(embeddings, 5, km_options);
+    const std::vector<double> unit_weights(embeddings.rows(), 1.0);
+    const auto km =
+        cluster::kmeans_weighted(embeddings, unit_weights, 5, km_options);
     const double embed_ms = embed_timer.millis();
 
     const double ari = cluster::adjusted_rand_index(spectral.labels, km.labels);

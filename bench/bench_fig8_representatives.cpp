@@ -25,8 +25,8 @@ void print_figure(bench::Reporter& reporter) {
   const auto sample = bench::make_experiment_set();
   util::ThreadPool pool;
   const auto similarity = core::SimilarityAnalysis::compute(sample, {}, &pool);
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, {});
+  const auto clustering = core::ClusteringAnalysis::compute(
+      similarity.gram, sample, bench::unit_counts(sample.size()), {});
 
   for (const auto& group : clustering.groups) {
     if (group.population == 0) continue;
@@ -46,7 +46,8 @@ void BM_MedoidExtraction(benchmark::State& state) {
   const auto similarity = core::SimilarityAnalysis::compute(sample);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::ClusteringAnalysis::compute(similarity.gram, sample, {}));
+        core::ClusteringAnalysis::compute(
+            similarity.gram, sample, bench::unit_counts(sample.size()), {}));
   }
 }
 BENCHMARK(BM_MedoidExtraction)->Unit(benchmark::kMillisecond);

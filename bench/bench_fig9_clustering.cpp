@@ -27,8 +27,8 @@ void run_variant(core::SamplingMode mode, const char* label) {
   const auto sample = core::CharacterizationPipeline(cfg).build_sample(data);
   util::ThreadPool pool;
   const auto similarity = core::SimilarityAnalysis::compute(sample, {}, &pool);
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, {});
+  const auto clustering = core::ClusteringAnalysis::compute(
+      similarity.gram, sample, bench::unit_counts(sample.size()), {});
 
   std::cout << "\n--- sampling mode: " << label << " ---\n";
   core::print_clustering_analysis(std::cout, clustering);
@@ -90,7 +90,8 @@ void BM_SpectralClustering(benchmark::State& state) {
   const auto similarity = core::SimilarityAnalysis::compute(sample);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::ClusteringAnalysis::compute(similarity.gram, sample, {}));
+        core::ClusteringAnalysis::compute(
+            similarity.gram, sample, bench::unit_counts(sample.size()), {}));
   }
 }
 BENCHMARK(BM_SpectralClustering)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);

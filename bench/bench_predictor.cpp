@@ -47,7 +47,8 @@ Split make_split() {
   util::ThreadPool pool;
   const auto sim = core::SimilarityAnalysis::compute(sample, {}, &pool);
   core::ClusteringOptions copt;
-  const auto clustering = core::ClusteringAnalysis::compute(sim.gram, sample, copt);
+  const auto clustering = core::ClusteringAnalysis::compute(
+      sim.gram, sample, bench::unit_counts(sample.size()), copt);
 
   Split s;
   s.num_groups = copt.clusters;

@@ -41,8 +41,9 @@ Fixture make_fixture(std::size_t sample_size = 200) {
   util::ThreadPool pool;
   const auto similarity = core::SimilarityAnalysis::compute(sample, {}, &pool);
   core::ClusteringOptions cluster_options;
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, cluster_options);
+  const auto clustering = core::ClusteringAnalysis::compute(
+      similarity.gram, sample, bench::unit_counts(sample.size()),
+      cluster_options);
 
   Fixture f;
   f.jobs = sched::jobs_from_dags(sample, /*inter_arrival=*/0.5);

@@ -35,13 +35,12 @@ int main(int argc, char** argv) {
   cfg.clustering.clusters = k;
   const core::CharacterizationPipeline pipeline(cfg);
 
-  const auto sample = pipeline.build_sample(data);
-  std::cout << "experiment set: " << sample.size() << " jobs\n";
-
   util::ThreadPool pool;
-  const auto similarity = core::SimilarityAnalysis::compute(sample, {}, &pool);
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, cfg.clustering);
+  const core::PipelineResult result = pipeline.run(data, &pool);
+  const std::vector<core::JobDag>& sample = result.sample;
+  const core::ClusteringAnalysis& clustering = result.clustering;
+  std::cout << "experiment set: " << sample.size() << " jobs ("
+            << result.interned.table.size() << " distinct shapes)\n";
 
   core::print_clustering_analysis(std::cout, clustering);
 

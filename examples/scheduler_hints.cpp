@@ -63,11 +63,10 @@ int main(int argc, char** argv) {
   cfg.sample_size = 100;
   cfg.clustering.clusters = 5;
   const core::CharacterizationPipeline pipeline(cfg);
-  const auto sample = pipeline.build_sample(history);
   util::ThreadPool pool;
-  const auto similarity = core::SimilarityAnalysis::compute(sample, {}, &pool);
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, cfg.clustering);
+  const core::PipelineResult result = pipeline.run(history, &pool);
+  const std::vector<core::JobDag>& sample = result.sample;
+  const core::ClusteringAnalysis& clustering = result.clustering;
 
   std::vector<GroupProfile> profiles;
   for (const auto& g : clustering.groups) {

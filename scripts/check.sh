@@ -92,8 +92,9 @@ run_config() {
 # expiry, hot reload, signal-driven drain, and the serve.accept/serve.batch/
 # serve.reload failpoints all rerun under both sanitizers.
 #  MiniBatchKMeans/FullTrace cover the full-trace clustering engine under
-# both sanitizers.
-FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|MiniBatchKMeans|FullTrace'
+# both sanitizers; KMeansWeighted/SilhouetteWeighted/ClusteringAnalysis
+# (with Spectral) cover the only sampled clustering implementation.
+FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|MiniBatchKMeans|FullTrace|KMeansWeighted|SilhouetteWeighted|ClusteringAnalysis'
 
 # Smoke the machine-readable bench pipeline end to end: tiny-input runs of
 # the two benches with committed baselines must produce cwgl-bench-v1 JSON

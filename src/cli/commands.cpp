@@ -71,9 +71,10 @@ commands:
                   (--trace DIR | [--jobs N]) [--sample K] [--natural]
                   [--clusters K] [--wl-iterations H] [--seed S]
                   [--full] [--json] [--metrics[=FILE]] [--trace-out FILE]
-  cluster       similarity map + spectral groups + medoid .dot files
-                  (--trace DIR | [--jobs N]) [--sample K] [--clusters K]
-                  [--out DIR] [--seed S]
+  cluster       the Fig. 9 spectral groups (the characterize pipeline's, so
+                the same groups characterize prints) + medoid .dot files
+                  (--trace DIR | [--jobs N]) [--sample K] [--natural]
+                  [--clusters K] [--wl-iterations H] [--out DIR] [--seed S]
   similarity    WL similarity summary (add --matrix for the full CSV)
                   (--trace DIR | [--jobs N]) [--sample K]
   ingest        streaming ingest throughput: batch_task.csv -> DAG jobs,
@@ -113,9 +114,11 @@ commands:
                 fitted snapshot (--json emits schema cwgl-serve-bench-v1)
                   --model FILE [--jobs N] [--threads T] [--repeat R]
                   [--seed S] [--json] [--metrics[=FILE]] [--trace-out FILE]
-  schedule      simulate scheduling policies on a characterized workload
-                  [--jobs N] [--sample K] [--machines M] [--online F]
-                  [--inter-arrival S] [--seed S]
+  schedule      simulate scheduling policies on a characterized workload;
+                the group-hint policy uses the characterize pipeline's
+                groups over a naturally sampled experiment set
+                  (--trace DIR | [--jobs N]) [--sample K] [--clusters K]
+                  [--machines M] [--online F] [--inter-arrival S] [--seed S]
   serve         resident classification daemon: accepts cwgl-serve-v1 frames
                 (u32-length-prefixed JSON) over a unix or loopback-tcp
                 socket. Bounded admission queue sheds overload with typed
@@ -156,27 +159,42 @@ Traces are directories holding batch_task.csv (and optionally
 batch_instance.csv) in the cluster-trace-v2018 column layout.
 )";
 
-/// Loads --trace DIR, or generates --jobs N (default 20000) with --seed.
-trace::Trace load_or_generate(const Args& args, std::ostream& out) {
-  const std::string dir = args.get("trace");
-  if (!dir.empty()) {
+/// Where a command's trace comes from: --trace DIR, or a generated trace of
+/// --jobs N (default 20000) with --seed S. Reading these keys is separate
+/// from loading so a command can reject unknown options before it pays for
+/// the load.
+struct TraceSource {
+  std::string dir;
+  trace::GeneratorConfig generated;
+};
+
+TraceSource trace_source(const Args& args) {
+  TraceSource source;
+  source.dir = args.get("trace");
+  if (source.dir.empty()) {
+    source.generated.num_jobs =
+        static_cast<std::size_t>(args.get_int("jobs").value_or(20000));
+    source.generated.seed =
+        static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
+    source.generated.emit_instances = false;
+  }
+  return source;
+}
+
+trace::Trace load_trace(const TraceSource& source, std::ostream& out) {
+  util::WallTimer timer;
+  if (!source.dir.empty()) {
     std::size_t skipped = 0;
-    util::WallTimer timer;
-    trace::Trace data = trace::read_trace(dir, &skipped);
-    out << "loaded " << data.tasks.size() << " task rows from " << dir << " ("
-        << skipped << " malformed skipped) in "
+    trace::Trace data = trace::read_trace(source.dir, &skipped);
+    out << "loaded " << data.tasks.size() << " task rows from " << source.dir
+        << " (" << skipped << " malformed skipped) in "
         << util::format_double(timer.millis(), 1) << " ms\n";
     return data;
   }
-  trace::GeneratorConfig cfg;
-  cfg.num_jobs = static_cast<std::size_t>(args.get_int("jobs").value_or(20000));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
-  cfg.emit_instances = false;
-  util::WallTimer timer;
-  trace::Trace data = trace::TraceGenerator(cfg).generate();
-  out << "generated " << data.tasks.size() << " task rows (" << cfg.num_jobs
-      << " jobs, seed " << cfg.seed << ") in "
-      << util::format_double(timer.millis(), 1) << " ms\n";
+  trace::Trace data = trace::TraceGenerator(source.generated).generate();
+  out << "generated " << data.tasks.size() << " task rows ("
+      << source.generated.num_jobs << " jobs, seed " << source.generated.seed
+      << ") in " << util::format_double(timer.millis(), 1) << " ms\n";
   return data;
 }
 
@@ -394,8 +412,9 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_census(const Args& args, std::ostream& out, std::ostream& err) {
-  const trace::Trace data = load_or_generate(args, out);
+  const TraceSource source = trace_source(args);
   if (const int rc = reject_unknown(args, err)) return rc;
+  const trace::Trace data = load_trace(source, out);
   core::print_trace_census(out, core::TraceCensus::compute(data));
   const auto jobs = core::build_all_dag_jobs(data, trace::SamplingCriteria{});
   out << "\nfiltered DAG jobs: " << jobs.size() << "\n";
@@ -426,12 +445,13 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
   std::ostringstream sink;  // keep the JSON stream pure of progress chatter
   std::ostream& progress = as_json ? static_cast<std::ostream&>(sink) : out;
   util::WallTimer total_timer;
-  util::WallTimer load_timer;
-  const trace::Trace data = load_or_generate(args, progress);
-  const double load_ms = load_timer.millis();
+  const TraceSource source = trace_source(args);
   core::PipelineConfig cfg = pipeline_config(args);
   if (full && !check_full_switch(args, "characterize", err)) return 2;
   if (const int rc = reject_unknown(args, err)) return rc;
+  util::WallTimer load_timer;
+  const trace::Trace data = load_trace(source, progress);
+  const double load_ms = load_timer.millis();
 
   if (full) {
     // Full-trace path: cluster EVERY eligible job (no sampling) by
@@ -503,23 +523,21 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_cluster(const Args& args, std::ostream& out, std::ostream& err) {
-  const trace::Trace data = load_or_generate(args, out);
+  const TraceSource source = trace_source(args);
   const core::PipelineConfig cfg = pipeline_config(args);
   const std::string out_dir = args.get("out");
   if (const int rc = reject_unknown(args, err)) return rc;
+  const trace::Trace data = load_trace(source, out);
   util::ThreadPool pool;
-  const core::CharacterizationPipeline pipeline(cfg);
-  const auto sample = pipeline.build_sample(data);
-  const auto similarity =
-      core::SimilarityAnalysis::compute(sample, cfg.similarity, &pool);
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, cfg.clustering);
+  const core::PipelineResult result =
+      core::CharacterizationPipeline(cfg).run(data, &pool);
+  const core::ClusteringAnalysis& clustering = result.clustering;
   core::print_clustering_analysis(out, clustering);
   if (!out_dir.empty()) {
     std::filesystem::create_directories(out_dir);
     for (const auto& group : clustering.groups) {
       if (group.population == 0) continue;
-      const core::JobDag& medoid = sample[group.medoid];
+      const core::JobDag& medoid = result.sample[group.medoid];
       const auto path = std::filesystem::path(out_dir) /
                         ("group_" + std::string(1, group.letter()) + ".dot");
       std::ofstream file(path);
@@ -532,10 +550,11 @@ int cmd_cluster(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_similarity(const Args& args, std::ostream& out, std::ostream& err) {
-  const trace::Trace data = load_or_generate(args, out);
+  const TraceSource source = trace_source(args);
   const core::PipelineConfig cfg = pipeline_config(args);
   const bool want_matrix = args.has("matrix");
   if (const int rc = reject_unknown(args, err)) return rc;
+  const trace::Trace data = load_trace(source, out);
   util::ThreadPool pool;
   const auto sample = core::CharacterizationPipeline(cfg).build_sample(data);
   const auto similarity =
@@ -742,12 +761,13 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
   std::ostringstream sink;  // keep the JSON stream pure of progress chatter
   std::ostream& progress = as_json ? static_cast<std::ostream&>(sink) : out;
   util::WallTimer total_timer;
-  const trace::Trace data = load_or_generate(args, progress);
-  const double load_ms = total_timer.millis();
+  const TraceSource source = trace_source(args);
   core::PipelineConfig cfg = pipeline_config(args);
   if (args.has("conflated")) cfg.analyze_conflated = true;
   if (full && !check_full_switch(args, "fit", err)) return 2;
   if (const int rc = reject_unknown(args, err)) return rc;
+  const trace::Trace data = load_trace(source, progress);
+  const double load_ms = total_timer.millis();
 
   util::ThreadPool pool;
   util::WallTimer timer;
@@ -1043,9 +1063,10 @@ int cmd_predict(const Args& args, std::ostream& out, std::ostream& err) {
   if (args.has("model") || args.positional_count() > 0) {
     return cmd_classify(args, out, err);
   }
-  const trace::Trace data = load_or_generate(args, out);
+  const TraceSource source = trace_source(args);
   core::PipelineConfig cfg = pipeline_config(args);
   if (const int rc = reject_unknown(args, err)) return rc;
+  const trace::Trace data = load_trace(source, out);
   const auto sample = core::CharacterizationPipeline(cfg).build_sample(data);
   const std::size_t split = sample.size() / 2;
   const std::vector<core::JobDag> train(sample.begin(), sample.begin() + split);
@@ -1345,7 +1366,7 @@ int cmd_client(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err) {
-  const trace::Trace data = load_or_generate(args, out);
+  const TraceSource source = trace_source(args);
   core::PipelineConfig cfg = pipeline_config(args);
   cfg.sampling = core::SamplingMode::Natural;
   sched::SimulatorConfig sim_cfg;
@@ -1359,13 +1380,13 @@ int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err) {
   }
   const double inter_arrival = args.get_double("inter-arrival").value_or(1.0);
   if (const int rc = reject_unknown(args, err)) return rc;
+  const trace::Trace data = load_trace(source, out);
 
   util::ThreadPool pool;
-  const auto sample = core::CharacterizationPipeline(cfg).build_sample(data);
-  const auto similarity =
-      core::SimilarityAnalysis::compute(sample, cfg.similarity, &pool);
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, cfg.clustering);
+  const core::PipelineResult result =
+      core::CharacterizationPipeline(cfg).run(data, &pool);
+  const std::vector<core::JobDag>& sample = result.sample;
+  const core::ClusteringAnalysis& clustering = result.clustering;
   auto jobs = sched::jobs_from_dags(sample, inter_arrival);
   sched::attach_hints(jobs, clustering.labels);
   const auto profiles = sched::profiles_from_groups(sample, clustering.labels,

@@ -24,25 +24,20 @@ struct KMeansOptions {
   std::uint64_t seed = 1;  ///< all restarts derive deterministically from this
 };
 
-/// Lloyd's k-means with k-means++ seeding over the rows of `data` (n x d).
+/// Weighted Lloyd's k-means with k-means++ seeding over the rows of `data`
+/// (n x d): row i stands for `weights[i]` identical points. Equivalent to
+/// plain k-means on the expanded data set — k-means++ picks rows with
+/// probability proportional to weight x D^2, centroids are weighted means,
+/// inertia is the weighted sum of squared distances — but runs on n
+/// distinct rows instead of sum(weights) points. A plain point set is the
+/// case of unit weights.
 ///
-/// Deterministic in `options.seed`. Empty clusters are re-seeded from the
-/// point farthest from its center. Throws InvalidArgument if k < 1 or
-/// k > n.
-KMeansResult kmeans(const linalg::Matrix& data, int k,
-                    const KMeansOptions& options = {});
-
-/// Weighted k-means: row i of `data` stands for `weights[i]` identical
-/// points. Mathematically equivalent to `kmeans` on the expanded data set —
-/// k-means++ picks rows with probability proportional to weight x D^2,
-/// centroids are weighted means, inertia is the weighted sum of squared
-/// distances — but runs on n distinct rows instead of sum(weights) points.
-///
-/// The RNG draw sequence differs from the expanded run (the sample spaces
-/// have different sizes), so per-seed results are not bitwise-comparable to
-/// `kmeans`; on well-separated data both converge to the same partition.
-/// Weights must be finite and > 0. Throws InvalidArgument on bad weights or
-/// if k < 1 or k > n.
+/// Deterministic in `options.seed`; the RNG draws differ from a run over
+/// the expanded rows (the sample spaces have different sizes), so on
+/// well-separated data both converge to the same partition, not the same
+/// cluster ids. Empty clusters are re-seeded from the row farthest from its
+/// center. Weights must be finite and > 0. Throws InvalidArgument on bad
+/// weights or if k < 1 or k > n.
 KMeansResult kmeans_weighted(const linalg::Matrix& data,
                              std::span<const double> weights, int k,
                              const KMeansOptions& options = {});

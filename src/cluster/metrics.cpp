@@ -10,38 +10,6 @@
 
 namespace cwgl::cluster {
 
-double silhouette_score(const linalg::Matrix& distances,
-                        std::span<const int> labels) {
-  const std::size_t n = labels.size();
-  if (distances.rows() != n || distances.cols() != n) {
-    throw util::InvalidArgument("silhouette_score: matrix/labels size mismatch");
-  }
-  const auto sizes = cluster_sizes(labels);
-  std::size_t populated = 0;
-  for (std::size_t s : sizes) populated += (s > 0);
-  if (populated < 2) return 0.0;
-
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sizes[labels[i]] <= 1) continue;  // singleton scores 0
-    // Mean distance to own cluster (a) and nearest other cluster (b).
-    std::vector<double> sum(sizes.size(), 0.0);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i) sum[labels[j]] += distances(i, j);
-    }
-    const double a =
-        sum[labels[i]] / static_cast<double>(sizes[labels[i]] - 1);
-    double b = std::numeric_limits<double>::max();
-    for (std::size_t c = 0; c < sizes.size(); ++c) {
-      if (static_cast<int>(c) == labels[i] || sizes[c] == 0) continue;
-      b = std::min(b, sum[c] / static_cast<double>(sizes[c]));
-    }
-    const double denom = std::max(a, b);
-    total += denom > 0.0 ? (b - a) / denom : 0.0;
-  }
-  return total / static_cast<double>(n);
-}
-
 double silhouette_score_weighted(const linalg::Matrix& distances,
                                  std::span<const double> weights,
                                  std::span<const int> labels) {

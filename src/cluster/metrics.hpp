@@ -7,18 +7,15 @@
 
 namespace cwgl::cluster {
 
-/// Mean silhouette coefficient over all points, computed from a pairwise
-/// distance matrix and an assignment. Points in singleton clusters score 0
-/// by convention. Returns 0 when fewer than 2 clusters are populated.
-double silhouette_score(const linalg::Matrix& distances, std::span<const int> labels);
-
-/// Silhouette of the expanded sample in which item i occurs `weights[i]`
-/// times, computed from the compact distance matrix. Copies of the same
-/// item have identical distances to everything and distance 0 to each
-/// other, so every copy shares one silhouette value; this evaluates that
-/// value per distinct item and averages with multiplicity. Weighted
-/// cluster populations <= 1 score 0 (the singleton convention). Weights
-/// must be positive and finite.
+/// Mean silhouette coefficient of the expanded sample in which item i
+/// occurs `weights[i]` times, computed from the compact pairwise distance
+/// matrix and one label per item (a plain item set is the case of unit
+/// weights). Copies of the same item have identical distances to
+/// everything and distance 0 to each other, so every copy shares one
+/// silhouette value; this evaluates that value per distinct item and
+/// averages with multiplicity. Points in clusters of weighted population
+/// <= 1 score 0 by convention; returns 0 when fewer than 2 clusters are
+/// populated. Weights must be positive and finite.
 double silhouette_score_weighted(const linalg::Matrix& distances,
                                  std::span<const double> weights,
                                  std::span<const int> labels);

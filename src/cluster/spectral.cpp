@@ -12,148 +12,6 @@
 
 namespace cwgl::cluster {
 
-SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
-                                const SpectralOptions& options) {
-  if (similarity.rows() != similarity.cols()) {
-    throw util::InvalidArgument("spectral_cluster: similarity must be square");
-  }
-  const std::size_t n = similarity.rows();
-  if (k < 1 || static_cast<std::size_t>(k) > n) {
-    throw util::InvalidArgument("spectral_cluster: need 1 <= k <= n");
-  }
-  if (options.max_dense_items != 0 && n > options.max_dense_items) {
-    throw util::InvalidArgument(
-        "spectral_cluster: " + std::to_string(n) +
-        " items exceed the dense-path limit of " +
-        std::to_string(options.max_dense_items) +
-        " (O(n^2) memory, O(n^3) eigensolve); use the scalable path "
-        "(`cwgl characterize --full` / minibatch_kmeans) or raise "
-        "SpectralOptions::max_dense_items");
-  }
-
-  SpectralResult result;
-
-  // Validate before any arithmetic: a single NaN would spread through the
-  // Laplacian and come out of the eigensolver as garbage labels with no
-  // error anywhere. Asymmetry beyond numerical noise means the caller's
-  // kernel matrix is corrupt, not merely unnormalized.
-  double max_abs = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (std::isfinite(similarity(i, j))) {
-        max_abs = std::max(max_abs, std::abs(similarity(i, j)));
-      }
-    }
-  }
-  const double asym_tol = 1e-6 * std::max(1.0, max_abs);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!std::isfinite(similarity(i, j))) {
-        if (!options.lenient) {
-          throw util::InvalidArgument(
-              "spectral_cluster: non-finite similarity at (" +
-              std::to_string(i) + ", " + std::to_string(j) + ")");
-        }
-        ++result.clamped_entries;
-      } else if (j > i &&
-                 std::abs(similarity(i, j) - similarity(j, i)) > asym_tol) {
-        if (!options.lenient) {
-          throw util::InvalidArgument(
-              "spectral_cluster: similarity is not symmetric at (" +
-              std::to_string(i) + ", " + std::to_string(j) + ")");
-        }
-        if (options.diagnostics != nullptr) {
-          options.diagnostics->count("spectral", "asymmetric-entry");
-        }
-      }
-    }
-  }
-  if (result.clamped_entries > 0 && options.diagnostics != nullptr) {
-    options.diagnostics->count("spectral", "non-finite-clamped",
-                               result.clamped_entries);
-  }
-
-  // Symmetrize and clamp; self-similarity does not affect L_sym's
-  // eigenvectors' cluster structure but keeps degrees positive. Non-finite
-  // entries (lenient mode only — strict threw above) contribute zero.
-  linalg::Matrix w(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double a = similarity(i, j);
-      const double b = similarity(j, i);
-      const double av = std::isfinite(a) ? a : 0.0;
-      const double bv = std::isfinite(b) ? b : 0.0;
-      w(i, j) = std::max(0.0, 0.5 * (av + bv));
-    }
-  }
-
-  std::vector<double> inv_sqrt_degree(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double deg = 0.0;
-    for (std::size_t j = 0; j < n; ++j) deg += w(i, j);
-    inv_sqrt_degree[i] = deg > 0.0 ? 1.0 / std::sqrt(deg) : 0.0;
-  }
-
-  linalg::Matrix lsym(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double norm = inv_sqrt_degree[i] * w(i, j) * inv_sqrt_degree[j];
-      lsym(i, j) = (i == j ? 1.0 : 0.0) - norm;
-    }
-  }
-
-  const bool partial = n > options.partial_eigen_threshold;
-  obs::Span eigen_span("cluster.eigensolve");
-  eigen_span.arg("n", n);
-  eigen_span.arg("partial", partial ? 1 : 0);
-  auto eig = partial
-                 ? linalg::smallest_eigenpairs(lsym, k,
-                                               options.partial_max_sweeps)
-                 : linalg::jacobi_eigen(lsym);
-  if (partial && !eig.converged) {
-    // Graceful degradation: the iterative solver ran out of sweeps (tight
-    // eigengaps do that). Fall back to the unconditionally stable dense
-    // decomposition rather than clustering on a half-converged subspace.
-    if (options.diagnostics != nullptr) {
-      options.diagnostics->record(
-          "spectral", "eigen-fallback",
-          "subspace iteration did not converge in " +
-              std::to_string(options.partial_max_sweeps) +
-              " sweeps (n=" + std::to_string(n) + "); using dense solver");
-    }
-    {
-      obs::Span fallback_span("cluster.eigensolve.jacobi_fallback");
-      fallback_span.arg("n", n);
-      eig = linalg::jacobi_eigen(lsym);
-    }
-    obs::MetricsRegistry::global().counter("cluster.spectral.fallbacks").add();
-    result.eigen_fallback = true;
-  }
-  eigen_span.arg("fallback", result.eigen_fallback ? 1 : 0);
-  eigen_span.end();
-
-  result.eigenvalues = eig.values;
-  result.embedding = linalg::Matrix(n, k);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (int c = 0; c < k; ++c) {
-      result.embedding(i, c) = eig.vectors(i, static_cast<std::size_t>(c));
-    }
-    double norm = 0.0;
-    for (int c = 0; c < k; ++c) {
-      norm += result.embedding(i, c) * result.embedding(i, c);
-    }
-    norm = std::sqrt(norm);
-    if (norm > 0.0) {
-      for (int c = 0; c < k; ++c) result.embedding(i, c) /= norm;
-    }
-  }
-
-  SpectralOptions opts = options;
-  const auto km = kmeans(result.embedding, k, opts.kmeans);
-  result.labels = km.labels;
-  return result;
-}
-
 SpectralResult spectral_cluster_weighted(const linalg::Matrix& similarity,
                                          std::span<const double> weights,
                                          int k, const SpectralOptions& options) {
@@ -187,8 +45,10 @@ SpectralResult spectral_cluster_weighted(const linalg::Matrix& similarity,
 
   SpectralResult result;
 
-  // Always strict: the interned pipeline feeds a freshly computed kernel
-  // matrix; damage here is a programming error, not dirty input.
+  // Validate before any arithmetic: a single NaN would spread through the
+  // Laplacian and come out of the eigensolver as garbage labels with no
+  // error anywhere. Asymmetry beyond numerical noise means the caller's
+  // kernel matrix is corrupt, not merely unnormalized.
   double max_abs = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -211,8 +71,8 @@ SpectralResult spectral_cluster_weighted(const linalg::Matrix& similarity,
     }
   }
 
-  // Symmetrize and clamp exactly as the unweighted path does, so both see
-  // the same effective affinity W.
+  // Symmetrize and clamp; self-similarity does not affect the cluster
+  // structure of L's eigenvectors but keeps degrees positive.
   linalg::Matrix w(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -251,6 +111,9 @@ SpectralResult spectral_cluster_weighted(const linalg::Matrix& similarity,
                                                options.partial_max_sweeps)
                  : linalg::jacobi_eigen(lsym);
   if (partial && !eig.converged) {
+    // Graceful degradation: the iterative solver ran out of sweeps (tight
+    // eigengaps do that). Fall back to the unconditionally stable dense
+    // decomposition rather than clustering on a half-converged subspace.
     if (options.diagnostics != nullptr) {
       options.diagnostics->record(
           "spectral", "eigen-fallback",

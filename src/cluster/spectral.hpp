@@ -23,17 +23,12 @@ struct SpectralOptions {
   /// Sweep budget for the partial solver before it is declared
   /// non-converged and the dense Jacobi fallback kicks in.
   int partial_max_sweeps = 600;
-  /// Strict (default): non-finite or materially non-symmetric similarity
-  /// entries throw util::InvalidArgument — garbage must not silently steer
-  /// the Laplacian. Lenient: non-finite entries are clamped to 0 and
-  /// asymmetry is averaged away, both reported into `diagnostics`.
-  bool lenient = false;
   /// Hard ceiling on the dense path: above this many items the O(n^2)
   /// Laplacian + eigensolve would silently burn memory and hours, so the
   /// call throws util::InvalidArgument pointing at the scalable path
   /// (`cwgl characterize --full` / minibatch_kmeans). 0 disables the guard.
   std::size_t max_dense_items = 2000;
-  /// Optional sink for degradations (clamped entries, eigen fallback).
+  /// Optional sink for degradations (eigen fallback).
   util::Diagnostics* diagnostics = nullptr;
 };
 
@@ -45,48 +40,39 @@ struct SpectralResult {
   /// True when the partial eigensolver failed to converge within its sweep
   /// budget and the result came from the dense Jacobi fallback instead.
   bool eigen_fallback = false;
-  /// Non-finite similarity entries clamped to 0 (lenient mode only).
-  std::size_t clamped_entries = 0;
 };
-
-/// Ng–Jordan–Weiss normalized spectral clustering over a similarity matrix.
-///
-/// Steps: symmetrize W (average with its transpose), build
-/// L_sym = I - D^{-1/2} W D^{-1/2}, take the k eigenvectors of the smallest
-/// eigenvalues, row-normalize, k-means in the embedded space. Negative
-/// similarities are clamped to zero; isolated rows (zero degree) embed at
-/// the origin.
-///
-/// Throws InvalidArgument if `similarity` is not square or k is out of
-/// range — and, under the default strict posture, if entries are non-finite
-/// or the matrix is asymmetric beyond numerical noise (see SpectralOptions::
-/// lenient for the degrade-and-report alternative).
-SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
-                                const SpectralOptions& options = {});
 
 /// Eigengap heuristic: given the ascending spectrum of L_sym, the suggested
 /// cluster count is the k (in [1, max_k]) maximizing
 /// eigenvalues[k] - eigenvalues[k-1].
 int eigengap_k(std::span<const double> eigenvalues, int max_k);
 
-/// Weighted spectral clustering: row/column t of `similarity` stands for
-/// `weights[t]` identical items (e.g. one distinct job shape with its
-/// multiplicity). Mathematically equivalent to `spectral_cluster` on the
-/// expanded similarity matrix: the expansion's normalized affinity
-/// D^{-1/2} W D^{-1/2} has, for identical items, eigenvectors that are
-/// constant within each identity class, and restricting to one row per
-/// class yields M(t,u) = sqrt(w_t w_u) S(t,u) / sqrt(d_t d_u) with weighted
-/// degrees d_t = sum_u w_u S(t,u) — the matrix this function diagonalizes.
-/// Its spectrum is the expanded spectrum minus (N - n) copies of the
-/// eigenvalue 1; row-normalizing the eigenvectors cancels the per-class
-/// 1/sqrt(w_t) scaling, so the embedding rows equal the expanded run's
-/// embedding rows exactly and k-means sees the same point set, weighted.
+/// Ng–Jordan–Weiss normalized spectral clustering over a similarity matrix
+/// whose row/column t stands for `weights[t]` identical items (e.g. one
+/// distinct job shape with its multiplicity; a plain item set is the case
+/// of unit weights).
 ///
-/// `eigenvalues` holds the n-item weighted spectrum (append N - n ones to
-/// reproduce the expanded spectrum for the eigengap heuristic). Always
-/// strict: non-finite or asymmetric input throws (options.lenient is
-/// ignored). Weights must be finite and > 0; the final stage is
-/// `kmeans_weighted`, so label caveats from there apply.
+/// Steps: symmetrize W (average with its transpose; negative similarities
+/// clamp to zero), build L = I - M with M(t,u) = sqrt(w_t w_u) W(t,u) /
+/// sqrt(d_t d_u) and weighted degrees d_t = sum_u w_u W(t,u), take the k
+/// eigenvectors of the smallest eigenvalues, row-normalize, and run
+/// `kmeans_weighted` in the embedded space. Isolated rows (zero degree)
+/// embed at the origin.
+///
+/// This is exactly the clustering of the EXPANDED similarity matrix (each
+/// item repeated weights[t] times): the expansion's normalized affinity
+/// has eigenvectors that are constant within each identity class, and
+/// restricting to one row per class yields M. The expanded spectrum is
+/// this n-item spectrum plus (N - n) copies of the eigenvalue 1 (append
+/// them to reproduce it for the eigengap heuristic); row-normalizing the
+/// eigenvectors cancels the per-class 1/sqrt(w_t) scaling, so the embedding
+/// rows equal the expanded run's rows and k-means sees the same point set,
+/// weighted.
+///
+/// Strict: throws InvalidArgument if `similarity` is not square, k is out
+/// of range, weights are not finite and > 0, entries are non-finite, or the
+/// matrix is asymmetric beyond numerical noise — garbage must not silently
+/// steer the Laplacian.
 SpectralResult spectral_cluster_weighted(const linalg::Matrix& similarity,
                                          std::span<const double> weights,
                                          int k,

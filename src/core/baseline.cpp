@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
-#include "cluster/metrics.hpp"
+#include "core/clustering.hpp"
 #include "graph/algorithms.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -51,23 +50,13 @@ ResourceClusteringBaseline resource_kmeans(std::span<const JobDag> jobs, int k,
   const linalg::Matrix features = resource_features(jobs);
   cluster::KMeansOptions options;
   options.seed = seed;
-  const auto km = cluster::kmeans(features, k, options);
-
-  // Relabel by descending population, matching ClusteringAnalysis.
-  const auto sizes = cluster::cluster_sizes(km.labels);
-  std::vector<int> order(sizes.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return sizes[a] != sizes[b] ? sizes[a] > sizes[b] : a < b;
-  });
-  std::vector<int> relabel(sizes.size());
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    relabel[order[rank]] = static_cast<int>(rank);
-  }
+  const std::vector<double> weights(jobs.size(), 1.0);
+  const auto km = cluster::kmeans_weighted(features, weights, k, options);
   ResourceClusteringBaseline out;
   out.inertia = km.inertia;
-  out.labels.reserve(jobs.size());
-  for (int l : km.labels) out.labels.push_back(relabel[l]);
+  // Relabel by descending population, matching ClusteringAnalysis.
+  out.labels = relabel_by_mass(
+      km.labels, std::vector<std::uint64_t>(jobs.size(), 1));
   return out;
 }
 

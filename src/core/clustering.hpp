@@ -20,7 +20,10 @@ struct ClusterGroupStats {
   util::Distribution parallelism;    ///< Fig. 9(d)
   double chain_fraction = 0.0;       ///< share of straight-chain jobs
   double short_job_fraction = 0.0;   ///< share of jobs with < 3 tasks
-  std::size_t medoid = 0;            ///< index of the most central job (Fig. 8)
+  /// Index of the most central member (Fig. 8): an item index from
+  /// ClusteringAnalysis::compute, a job index in PipelineResult, a shape id
+  /// in FullTraceResult.
+  std::size_t medoid = 0;
 
   /// Letter name used in the paper ('A'..).
   char letter() const noexcept { return static_cast<char>('A' + group); }
@@ -36,33 +39,40 @@ struct ClusteringOptions {
 /// (Section VI). Groups are relabeled by descending population so that
 /// group 0 ('A') is always the most populous, matching the paper's naming.
 struct ClusteringAnalysis {
-  std::vector<int> labels;             ///< group per job (relabeled)
+  std::vector<int> labels;             ///< group per item (relabeled)
   std::vector<ClusterGroupStats> groups;
-  std::vector<double> eigenvalues;     ///< ascending spectrum of L_sym
+  /// Ascending spectrum of L_sym over the expanded sample: the weighted
+  /// spectrum plus one eigenvalue 1 per duplicated item.
+  std::vector<double> eigenvalues;
   double silhouette = 0.0;             ///< quality in feature-space distance
   int suggested_k = 1;                 ///< eigengap heuristic (max 10)
 
+  /// Clusters `items` (e.g. the distinct shapes of a sample) where item t
+  /// stands for `counts[t]` identical jobs and `similarity` is the m x m
+  /// kernel over the items. Everything is count-weighted — group masses,
+  /// statistics (util::describe_weighted), silhouette, spectrum — so the
+  /// result is the analysis of the expanded sample; a plain job list is the
+  /// case of unit counts. Labels and medoids are per item. The cluster count
+  /// is clamped to the number of items; `groups` always holds
+  /// options.clusters entries and unfilled groups report population 0.
   static ClusteringAnalysis compute(const linalg::Matrix& similarity,
-                                    std::span<const JobDag> jobs,
+                                    std::span<const JobDag> items,
+                                    std::span<const std::uint64_t> counts,
                                     const ClusteringOptions& options = {});
-
-  /// Shape-interned equivalent of `compute`: `shape_similarity` is the
-  /// m x m kernel over distinct shapes, `exemplars`/`counts` describe the
-  /// m shapes, and `shape_of[i]` maps job i of the analysis set to its
-  /// shape. Produces the same analysis the direct path would on the
-  /// expanded sample — per-JOB labels, count-weighted group statistics
-  /// (quantiles bit-identical, means up to summation order), the expanded
-  /// spectrum (the weighted spectrum plus jobs-minus-shapes copies of the
-  /// eigenvalue 1), weighted silhouette, and the medoid as a job index
-  /// (the earliest job of the most central shape, matching the direct
-  /// argmax tie-break). Cluster-letter agreement with the direct path
-  /// additionally requires separated groups, because the k-means RNG draw
-  /// sequences differ (see cluster::kmeans_weighted).
-  static ClusteringAnalysis compute_interned(
-      const linalg::Matrix& shape_similarity, std::span<const JobDag> exemplars,
-      std::span<const std::uint64_t> counts,
-      std::span<const std::uint32_t> shape_of,
-      const ClusteringOptions& options = {});
 };
+
+/// Relabels raw cluster ids (one per item, item t weighing counts[t]) by
+/// descending mass, so group 0 ('A') is the most populous. Equal masses
+/// order by their earliest member (lowest item index), so the letters
+/// depend on the partition alone, not on the ids k-means happened to give.
+std::vector<int> relabel_by_mass(std::span<const int> raw_labels,
+                                 std::span<const std::uint64_t> counts);
+
+/// Count-weighted statistics of group `group` under per-item `labels`:
+/// population, share, size/critical-path/width distributions, chain and
+/// short-job fractions. `medoid` is left to the caller.
+ClusterGroupStats describe_group(int group, std::span<const JobDag> items,
+                                 std::span<const std::uint64_t> counts,
+                                 std::span<const int> labels);
 
 }  // namespace cwgl::core

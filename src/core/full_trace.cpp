@@ -1,14 +1,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "cluster/minibatch_kmeans.hpp"
 #include "cluster/spectral.hpp"
 #include "core/pipeline.hpp"
-#include "graph/algorithms.hpp"
-#include "graph/patterns.hpp"
 #include "kernel/wl.hpp"
 #include "obs/tracer.hpp"
 #include "util/error.hpp"
@@ -162,60 +159,28 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   }
   result.inertia = clustered.inertia;
 
-  // Relabel by descending weighted mass (ties to the lower raw id), the
-  // paper's group-'A'-is-largest convention.
+  // Relabel by descending weighted mass, the paper's group-'A'-is-largest
+  // convention. Shapes are in first-seen order, so an equal-mass tie goes to
+  // the group whose first job came first.
   const std::vector<std::uint64_t> counts = result.table.counts();
-  std::size_t raw_clusters = 0;
-  for (int l : clustered.labels) {
-    raw_clusters = std::max(raw_clusters, static_cast<std::size_t>(l) + 1);
-  }
-  std::vector<std::uint64_t> raw_mass(raw_clusters, 0);
-  for (std::size_t t = 0; t < m; ++t) {
-    raw_mass[clustered.labels[t]] += counts[t];
-  }
-  std::vector<int> order(raw_clusters);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return raw_mass[a] != raw_mass[b] ? raw_mass[a] > raw_mass[b] : a < b;
-  });
-  std::vector<int> relabel(raw_clusters);
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    relabel[order[rank]] = static_cast<int>(rank);
-  }
-  result.shape_labels.resize(m);
-  for (std::size_t t = 0; t < m; ++t) {
-    result.shape_labels[t] = relabel[clustered.labels[t]];
-  }
+  result.shape_labels = relabel_by_mass(clustered.labels, counts);
 
-  // Count-weighted per-group statistics, mirroring the interned sampled
-  // path; the medoid is the member shape nearest the group's weighted
-  // feature mean (no m x m kernel needed).
-  result.groups.resize(static_cast<std::size_t>(k_eff));
+  // Count-weighted per-group statistics, as in the sampled path; the medoid
+  // is the member shape nearest the group's weighted feature mean (no m x m
+  // kernel needed).
+  result.groups.reserve(static_cast<std::size_t>(k_eff));
   std::vector<double> point_sq(m);
   for (std::size_t t = 0; t < m; ++t) {
     const double norm = normalized[t].norm();
     point_sq[t] = norm * norm;
   }
   for (int g = 0; g < k_eff; ++g) {
-    ClusterGroupStats& group_stats = result.groups[static_cast<std::size_t>(g)];
-    group_stats.group = g;
-    std::vector<double> sizes, depths, widths;
-    std::vector<std::uint64_t> member_counts;
-    std::uint64_t chains = 0, shorts = 0;
+    ClusterGroupStats& group_stats = result.groups.emplace_back(
+        describe_group(g, exemplars, counts, result.shape_labels));
     std::vector<double> center(dims, 0.0);
     double mass = 0.0;
     for (std::size_t t = 0; t < m; ++t) {
       if (result.shape_labels[t] != g) continue;
-      group_stats.population += counts[t];
-      sizes.push_back(exemplars[t].size());
-      depths.push_back(graph::critical_path_length(exemplars[t].dag));
-      widths.push_back(graph::max_width(exemplars[t].dag));
-      member_counts.push_back(counts[t]);
-      if (graph::classify_shape(exemplars[t].dag) ==
-          graph::ShapePattern::StraightChain) {
-        chains += counts[t];
-      }
-      if (exemplars[t].size() < 3) shorts += counts[t];
       const double w = weights[t];
       mass += w;
       for (const auto& [id, value] : normalized[t].items) {
@@ -228,7 +193,6 @@ FullTraceResult CharacterizationPipeline::run_full_table(
     double center_sq = 0.0;
     for (double v : center) center_sq += v * v;
     double best = std::numeric_limits<double>::max();
-    std::size_t medoid = m;
     for (std::size_t t = 0; t < m; ++t) {
       if (result.shape_labels[t] != g) continue;
       double dot = 0.0;
@@ -238,32 +202,16 @@ FullTraceResult CharacterizationPipeline::run_full_table(
       const double d = point_sq[t] + center_sq - 2.0 * dot;
       if (d < best) {  // strict: ties keep the first-seen (lower-id) shape
         best = d;
-        medoid = t;
+        group_stats.medoid = t;
       }
     }
-    if (medoid < m) group_stats.medoid = medoid;
-    group_stats.population_fraction =
-        result.table.total_jobs == 0
-            ? 0.0
-            : static_cast<double>(group_stats.population) /
-                  static_cast<double>(result.table.total_jobs);
-    group_stats.size = util::describe_weighted(sizes, member_counts);
-    group_stats.critical_path = util::describe_weighted(depths, member_counts);
-    group_stats.parallelism = util::describe_weighted(widths, member_counts);
-    group_stats.chain_fraction =
-        group_stats.population ? static_cast<double>(chains) /
-                                     static_cast<double>(group_stats.population)
-                               : 0.0;
-    group_stats.short_job_fraction =
-        group_stats.population ? static_cast<double>(shorts) /
-                                     static_cast<double>(group_stats.population)
-                               : 0.0;
   }
 
   // Validation: the exact spectral pipeline on a shared uniform job
   // subsample. Same-shape jobs have bitwise-identical feature vectors, so
-  // the v x v Gram is assembled from shape-level dots — exactly what the
-  // sampled pipeline would compute on those jobs.
+  // the exact pipeline runs over the subsample's distinct shapes, weighted
+  // by their in-sample counts — the clustering the sampled pipeline would
+  // compute on those jobs.
   std::size_t v = std::min<std::size_t>(
       config_.full_validation_sample,
       static_cast<std::size_t>(result.table.total_jobs));
@@ -277,38 +225,51 @@ FullTraceResult CharacterizationPipeline::run_full_table(
         static_cast<std::size_t>(result.table.total_jobs), v);
     std::sort(positions.begin(), positions.end());
     // Map expanded job positions to shapes via cumulative counts: position
-    // p belongs to the shape whose cumulative range contains p.
+    // p belongs to the shape whose cumulative range contains p. Positions
+    // are sorted, so jobs of one shape are adjacent.
     std::vector<std::uint64_t> cumulative(m);
     std::uint64_t acc = 0;
     for (std::size_t t = 0; t < m; ++t) {
       acc += counts[t];
       cumulative[t] = acc;
     }
-    std::vector<std::size_t> sample_shape(v);
+    std::vector<std::size_t> sample_shapes;   // distinct, ascending
+    std::vector<double> sample_weights;       // in-sample count of each
+    std::vector<int> full_labels(v);
+    std::vector<std::size_t> item_of(v);
     for (std::size_t i = 0; i < v; ++i) {
       const auto it = std::upper_bound(cumulative.begin(), cumulative.end(),
                                        static_cast<std::uint64_t>(positions[i]));
-      sample_shape[i] = static_cast<std::size_t>(it - cumulative.begin());
+      const auto shape = static_cast<std::size_t>(it - cumulative.begin());
+      if (sample_shapes.empty() || sample_shapes.back() != shape) {
+        sample_shapes.push_back(shape);
+        sample_weights.push_back(0.0);
+      }
+      sample_weights.back() += 1.0;
+      item_of[i] = sample_shapes.size() - 1;
+      full_labels[i] = result.shape_labels[shape];
     }
-    linalg::Matrix gram(v, v);
-    for (std::size_t i = 0; i < v; ++i) {
-      gram(i, i) = 1.0;
-      for (std::size_t j = i + 1; j < v; ++j) {
+    const std::size_t d = sample_shapes.size();
+    linalg::Matrix gram(d, d);
+    for (std::size_t a = 0; a < d; ++a) {
+      gram(a, a) = 1.0;
+      for (std::size_t b = a + 1; b < d; ++b) {
         const double value =
-            normalized[sample_shape[i]].dot(normalized[sample_shape[j]]);
-        gram(i, j) = value;
-        gram(j, i) = value;
+            normalized[sample_shapes[a]].dot(normalized[sample_shapes[b]]);
+        gram(a, b) = value;
+        gram(b, a) = value;
       }
     }
     cluster::SpectralOptions spectral_options;
     spectral_options.kmeans.seed = config_.clustering.seed;
-    const cluster::SpectralResult exact =
-        cluster::spectral_cluster(gram, k_eff, spectral_options);
-    std::vector<int> full_labels(v);
+    const cluster::SpectralResult exact = cluster::spectral_cluster_weighted(
+        gram, sample_weights, std::min(k_eff, static_cast<int>(d)),
+        spectral_options);
+    std::vector<int> exact_labels(v);
     for (std::size_t i = 0; i < v; ++i) {
-      full_labels[i] = result.shape_labels[sample_shape[i]];
+      exact_labels[i] = exact.labels[item_of[i]];
     }
-    result.agreement = cluster::measure_agreement(full_labels, exact.labels);
+    result.agreement = cluster::measure_agreement(full_labels, exact_labels);
   }
   return result;
 }

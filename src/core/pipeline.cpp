@@ -1,5 +1,7 @@
 #include "core/pipeline.hpp"
 
+#include <utility>
+
 #include "obs/tracer.hpp"
 #include "util/thread_pool.hpp"
 
@@ -131,9 +133,23 @@ PipelineResult CharacterizationPipeline::run(const trace::Trace& trace,
 
   {
     obs::Span span("pipeline.clustering");
-    result.clustering = ClusteringAnalysis::compute_interned(
-        interned.shape_gram, analysis_shapes, counts, interned.shape_of,
-        config_.clustering);
+    result.clustering = ClusteringAnalysis::compute(
+        interned.shape_gram, analysis_shapes, counts, config_.clustering);
+  }
+  // Map the per-shape clustering back to jobs: a job's label is its shape's
+  // label, and a group's medoid is the first job of its medoid shape (the
+  // shape's first sequence number, since job i was interned as sequence i).
+  {
+    const std::vector<int> shape_labels =
+        std::exchange(result.clustering.labels, {});
+    result.clustering.labels.reserve(result.sample.size());
+    for (std::uint32_t t : interned.shape_of) {
+      result.clustering.labels.push_back(shape_labels[t]);
+    }
+    for (ClusterGroupStats& group : result.clustering.groups) {
+      group.medoid = static_cast<std::size_t>(
+          interned.table.shapes[group.medoid].first_seq);
+    }
   }
 
   // Expand the shape kernel back to the per-job Gram: same-shape jobs have

@@ -669,8 +669,8 @@ void Daemon::process_batch(std::vector<Pending>& batch) {
                     {"deadline_ms", p.deadline_ms},
                     {"past_drain", past_drain}});
       }
-      respond(p.conn, r);
       record_timing(to_string(r.status));
+      respond(p.conn, r);
       return;
     }
     if (config_.service_delay.count() > 0) {
@@ -713,8 +713,8 @@ void Daemon::process_batch(std::vector<Pending>& batch) {
       errors_.fetch_add(1, std::memory_order_relaxed);
       gm().errors.add();
     }
-    respond(p.conn, r);
     record_timing(to_string(r.status));
+    respond(p.conn, r);
   };
 
   if (batch.size() == 1 || pool_.size() == 1) {

@@ -13,8 +13,11 @@ namespace cwgl::serve {
 
 /// Where one request's wall time went, measured at the daemon's four
 /// lifecycle points: admission -> dispatch (queue_wait), dispatch -> compute
-/// start (batch_wait, the coalescing linger), compute start -> reply sent
-/// (compute). `total_us` is admission -> reply.
+/// start (batch_wait, the coalescing linger), compute start -> response
+/// ready (compute). `total_us` is admission -> response ready. A request is
+/// recorded before its reply is written, so a client that has its answer
+/// sees the request in `stats`; encoding and writing the reply fall outside
+/// every span.
 struct RequestTiming {
   std::uint64_t trace_id = 0;
   std::string job_name;

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "model/format.hpp"
 #include "serve/classifier.hpp"
@@ -110,6 +111,37 @@ TEST(Cli, ClusterWritesMedoids) {
   std::filesystem::remove_all(dir);
 }
 
+/// The `Group X: ...` header lines of a Fig. 9 report.
+std::vector<std::string> group_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("Group ", 0) == 0) lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(Cli, ClusterPrintsTheSameGroupsAsCharacterize) {
+  // Generator seed 2 is one where a per-job clustering of the sample
+  // disagreed with the shape-interned one.
+  const auto cluster = run({"cluster", "--jobs", "20000", "--seed", "2",
+                            "--sample", "100"});
+  const auto characterize = run({"characterize", "--jobs", "20000", "--seed",
+                                 "2", "--sample", "100"});
+  ASSERT_EQ(cluster.code, 0) << cluster.err;
+  ASSERT_EQ(characterize.code, 0) << characterize.err;
+  const auto groups = group_lines(cluster.out);
+  EXPECT_EQ(groups.size(), 5u);
+  EXPECT_EQ(groups, group_lines(characterize.out));
+}
+
+TEST(Cli, MoreClustersThanDistinctShapesStillCharacterizes) {
+  const auto r = run({"characterize", "--jobs", "2000", "--sample", "5",
+                      "--clusters", "5", "--natural"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(group_lines(r.out).size(), 5u);
+}
+
 TEST(Cli, SimilarityMatrixShape) {
   const auto r = run({"similarity", "--jobs", "600", "--sample", "10",
                       "--matrix"});
@@ -194,6 +226,15 @@ TEST(Cli, MissingTraceDirectoryIsCleanError) {
   const auto r = run({"census", "--trace", "/nonexistent/cwgl"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("error:"), std::string::npos);
+}
+
+TEST(Cli, UnknownOptionRejectedBeforeLoadingTrace) {
+  for (const char* command : {"census", "characterize", "cluster",
+                              "similarity", "fit", "predict", "schedule"}) {
+    const auto r = run({command, "--trace", "/nonexistent/cwgl", "--bogus"});
+    EXPECT_EQ(r.code, 2) << command << ": " << r.err;
+    EXPECT_NE(r.err.find("--bogus"), std::string::npos) << command;
+  }
 }
 
 TEST(Cli, IngestJsonReportHasThroughputAndDiagnostics) {

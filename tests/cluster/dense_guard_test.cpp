@@ -13,6 +13,9 @@
 namespace cwgl::cluster {
 namespace {
 
+/// One unit weight per item: a plain item set.
+std::vector<double> ones(std::size_t n) { return std::vector<double>(n, 1.0); }
+
 linalg::Matrix identity_similarity(std::size_t n) {
   linalg::Matrix w(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -26,7 +29,7 @@ TEST(DenseGuard, AboveLimitThrowsPointingAtFullPath) {
   opt.max_dense_items = 16;
   const auto w = identity_similarity(17);
   try {
-    spectral_cluster(w, 2, opt);
+    spectral_cluster_weighted(w, ones(w.rows()), 2, opt);
     FAIL() << "expected InvalidArgument";
   } catch (const util::InvalidArgument& e) {
     const std::string what = e.what();
@@ -48,7 +51,7 @@ TEST(DenseGuard, AtLimitStillRuns) {
   SpectralOptions opt;
   opt.max_dense_items = 16;
   const auto w = identity_similarity(16);
-  const auto result = spectral_cluster(w, 2, opt);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 2, opt);
   EXPECT_EQ(result.labels.size(), 16u);
 }
 
@@ -56,7 +59,7 @@ TEST(DenseGuard, ZeroDisablesTheGuard) {
   SpectralOptions opt;
   opt.max_dense_items = 0;
   const auto w = identity_similarity(32);
-  const auto result = spectral_cluster(w, 2, opt);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 2, opt);
   EXPECT_EQ(result.labels.size(), 32u);
 }
 

@@ -11,6 +11,9 @@
 namespace cwgl::cluster {
 namespace {
 
+/// One unit weight per row: a plain point set.
+std::vector<double> ones(std::size_t n) { return std::vector<double>(n, 1.0); }
+
 /// Three well-separated Gaussian blobs in 2D.
 linalg::Matrix blobs(std::size_t per_blob, std::uint64_t seed,
                      std::vector<int>* truth = nullptr) {
@@ -31,7 +34,7 @@ linalg::Matrix blobs(std::size_t per_blob, std::uint64_t seed,
 TEST(KMeans, RecoversPlantedBlobs) {
   std::vector<int> truth;
   const auto data = blobs(30, 3, &truth);
-  const auto result = kmeans(data, 3);
+  const auto result = kmeans_weighted(data, ones(data.rows()), 3);
   // Every blob must map to a single distinct cluster.
   for (int b = 0; b < 3; ++b) {
     std::set<int> assigned;
@@ -46,15 +49,15 @@ TEST(KMeans, DeterministicForSeed) {
   const auto data = blobs(20, 5);
   KMeansOptions opt;
   opt.seed = 42;
-  const auto a = kmeans(data, 3, opt);
-  const auto b = kmeans(data, 3, opt);
+  const auto a = kmeans_weighted(data, ones(data.rows()), 3, opt);
+  const auto b = kmeans_weighted(data, ones(data.rows()), 3, opt);
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_DOUBLE_EQ(a.inertia, b.inertia);
 }
 
 TEST(KMeans, LabelsInRange) {
   const auto data = blobs(10, 7);
-  const auto result = kmeans(data, 4);
+  const auto result = kmeans_weighted(data, ones(data.rows()), 4);
   for (int l : result.labels) {
     EXPECT_GE(l, 0);
     EXPECT_LT(l, 4);
@@ -63,7 +66,7 @@ TEST(KMeans, LabelsInRange) {
 
 TEST(KMeans, KEqualsOneGivesGrandMeanInertia) {
   const auto data = blobs(10, 9);
-  const auto result = kmeans(data, 1);
+  const auto result = kmeans_weighted(data, ones(data.rows()), 1);
   for (int l : result.labels) EXPECT_EQ(l, 0);
   // Center is the grand mean.
   double mx = 0.0, my = 0.0;
@@ -80,7 +83,7 @@ TEST(KMeans, KEqualsOneGivesGrandMeanInertia) {
 TEST(KMeans, KEqualsNGivesZeroInertia) {
   linalg::Matrix data = linalg::Matrix::from_rows(
       {{0.0, 0.0}, {1.0, 1.0}, {2.0, 2.0}, {5.0, 5.0}});
-  const auto result = kmeans(data, 4);
+  const auto result = kmeans_weighted(data, ones(data.rows()), 4);
   EXPECT_NEAR(result.inertia, 0.0, 1e-12);
   std::set<int> distinct(result.labels.begin(), result.labels.end());
   EXPECT_EQ(distinct.size(), 4u);
@@ -90,7 +93,7 @@ TEST(KMeans, MoreClustersNeverIncreaseInertia) {
   const auto data = blobs(15, 11);
   double prev = std::numeric_limits<double>::max();
   for (int k = 1; k <= 5; ++k) {
-    const auto result = kmeans(data, k);
+    const auto result = kmeans_weighted(data, ones(data.rows()), k);
     EXPECT_LE(result.inertia, prev + 1e-9) << "k=" << k;
     prev = result.inertia;
   }
@@ -98,8 +101,10 @@ TEST(KMeans, MoreClustersNeverIncreaseInertia) {
 
 TEST(KMeans, InvalidKThrows) {
   const auto data = blobs(5, 13);
-  EXPECT_THROW(kmeans(data, 0), util::InvalidArgument);
-  EXPECT_THROW(kmeans(data, static_cast<int>(data.rows()) + 1),
+  EXPECT_THROW(kmeans_weighted(data, ones(data.rows()), 0),
+               util::InvalidArgument);
+  EXPECT_THROW(kmeans_weighted(data, ones(data.rows()),
+                               static_cast<int>(data.rows()) + 1),
                util::InvalidArgument);
 }
 
@@ -109,7 +114,7 @@ TEST(KMeans, DuplicatePointsHandled) {
     data(i, 0) = i < 3 ? 0.0 : 5.0;
     data(i, 1) = 0.0;
   }
-  const auto result = kmeans(data, 2);
+  const auto result = kmeans_weighted(data, ones(data.rows()), 2);
   EXPECT_EQ(result.labels[0], result.labels[1]);
   EXPECT_EQ(result.labels[3], result.labels[4]);
   EXPECT_NE(result.labels[0], result.labels[3]);

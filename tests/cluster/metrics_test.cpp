@@ -7,6 +7,9 @@
 namespace cwgl::cluster {
 namespace {
 
+/// One unit weight per item: a plain item set.
+std::vector<double> ones(std::size_t n) { return std::vector<double>(n, 1.0); }
+
 TEST(AdjustedRandIndex, IdenticalPartitionsScoreOne) {
   const std::vector<int> a{0, 0, 1, 1, 2, 2};
   EXPECT_DOUBLE_EQ(adjusted_rand_index(a, a), 1.0);
@@ -110,7 +113,7 @@ TEST(Silhouette, WellSeparatedClustersScoreHigh) {
                                                 {9.0, 9.0, 0.0, 0.1},
                                                 {9.0, 9.0, 0.1, 0.0}});
   const std::vector<int> labels{0, 0, 1, 1};
-  EXPECT_GT(silhouette_score(d, labels), 0.9);
+  EXPECT_GT(silhouette_score_weighted(d, ones(d.rows()), labels), 0.9);
 }
 
 TEST(Silhouette, BadAssignmentScoresNegative) {
@@ -119,19 +122,20 @@ TEST(Silhouette, BadAssignmentScoresNegative) {
                                                 {9.0, 9.0, 0.0, 0.1},
                                                 {9.0, 9.0, 0.1, 0.0}});
   const std::vector<int> labels{0, 1, 0, 1};  // crosses the true pairs
-  EXPECT_LT(silhouette_score(d, labels), 0.0);
+  EXPECT_LT(silhouette_score_weighted(d, ones(d.rows()), labels), 0.0);
 }
 
 TEST(Silhouette, SingleClusterScoresZero) {
   linalg::Matrix d(3, 3);
   const std::vector<int> labels{0, 0, 0};
-  EXPECT_DOUBLE_EQ(silhouette_score(d, labels), 0.0);
+  EXPECT_DOUBLE_EQ(silhouette_score_weighted(d, ones(d.rows()), labels), 0.0);
 }
 
 TEST(Silhouette, MismatchThrows) {
   linalg::Matrix d(3, 3);
   const std::vector<int> labels{0, 1};
-  EXPECT_THROW(silhouette_score(d, labels), util::InvalidArgument);
+  EXPECT_THROW(silhouette_score_weighted(d, ones(d.rows()), labels),
+               util::InvalidArgument);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Graceful-degradation and input-validation tests for the spectral path:
-// non-finite/asymmetric similarity handling (strict vs lenient), the
+// strict rejection of non-finite/asymmetric similarity, the
 // iterative-eigensolver -> dense-Jacobi fallback, and k-means' behavior on
 // degenerate embeddings.
 
@@ -20,6 +20,9 @@
 
 namespace cwgl::cluster {
 namespace {
+
+/// One unit weight per row: a plain item set.
+std::vector<double> ones(std::size_t n) { return std::vector<double>(n, 1.0); }
 
 linalg::Matrix block_similarity(int blocks, int per_block, std::uint64_t seed,
                                 std::vector<int>* truth = nullptr) {
@@ -44,41 +47,28 @@ TEST(SpectralValidation, StrictRejectsNonFiniteSimilarity) {
   auto w = block_similarity(2, 4, 3);
   w(1, 2) = std::numeric_limits<double>::quiet_NaN();
   w(2, 1) = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(spectral_cluster(w, 2), util::InvalidArgument);
+  EXPECT_THROW(spectral_cluster_weighted(w, ones(w.rows()), 2),
+               util::InvalidArgument);
 
   auto inf = block_similarity(2, 4, 5);
   inf(0, 3) = std::numeric_limits<double>::infinity();
   inf(3, 0) = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(spectral_cluster(inf, 2), util::InvalidArgument);
+  EXPECT_THROW(spectral_cluster_weighted(inf, ones(inf.rows()), 2),
+               util::InvalidArgument);
 }
 
 TEST(SpectralValidation, StrictRejectsAsymmetricSimilarity) {
   auto w = block_similarity(2, 4, 7);
   w(1, 2) += 0.5;  // break symmetry well beyond numerical noise
-  EXPECT_THROW(spectral_cluster(w, 2), util::InvalidArgument);
+  EXPECT_THROW(spectral_cluster_weighted(w, ones(w.rows()), 2),
+               util::InvalidArgument);
 }
 
 TEST(SpectralValidation, TinyAsymmetryIsToleratedStrict) {
   auto w = block_similarity(2, 4, 9);
   w(1, 2) += 1e-12;  // numerical noise must NOT trip validation
-  const auto result = spectral_cluster(w, 2);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 2);
   EXPECT_EQ(result.labels.size(), 8u);
-}
-
-TEST(SpectralValidation, LenientClampsAndReports) {
-  std::vector<int> truth;
-  auto w = block_similarity(3, 8, 11, &truth);
-  w(1, 2) = std::numeric_limits<double>::quiet_NaN();
-  w(2, 1) = std::numeric_limits<double>::quiet_NaN();
-  util::Diagnostics diagnostics;
-  SpectralOptions options;
-  options.lenient = true;
-  options.diagnostics = &diagnostics;
-  const auto result = spectral_cluster(w, 3, options);
-  EXPECT_EQ(result.clamped_entries, 2u);
-  EXPECT_EQ(diagnostics.count_of("spectral", "non-finite-clamped"), 2u);
-  // Two poisoned entries out of 576 must not destroy the clustering.
-  EXPECT_GT(adjusted_rand_index(result.labels, truth), 0.9);
 }
 
 TEST(SpectralDegradation, NonConvergedPartialSolverFallsBackToDense) {
@@ -92,7 +82,7 @@ TEST(SpectralDegradation, NonConvergedPartialSolverFallsBackToDense) {
   options.partial_eigen_threshold = 0;  // force the iterative path
   options.partial_max_sweeps = 1;
   options.diagnostics = &diagnostics;
-  const auto result = spectral_cluster(w, 3, options);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 3, options);
   EXPECT_TRUE(result.eigen_fallback);
   EXPECT_EQ(diagnostics.count_of("spectral", "eigen-fallback"), 1u);
   // The fallback is the dense solver: full spectrum, correct clustering.
@@ -106,7 +96,7 @@ TEST(SpectralDegradation, ConvergedPartialSolverDoesNotFallBack) {
   SpectralOptions options;
   options.partial_eigen_threshold = 0;
   options.diagnostics = &diagnostics;
-  const auto result = spectral_cluster(w, 4, options);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 4, options);
   EXPECT_FALSE(result.eigen_fallback);
   EXPECT_EQ(diagnostics.count_of("spectral", "eigen-fallback"), 0u);
   EXPECT_EQ(result.eigenvalues.size(), 4u);  // partial mode: k values only
@@ -147,7 +137,8 @@ TEST(EigenConvergence, SubspaceIterationReportsNonConvergence) {
 TEST(KMeansRobustness, NonFiniteDataRejected) {
   linalg::Matrix data(4, 2);
   data(2, 1) = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(kmeans(data, 2, {}), util::InvalidArgument);
+  EXPECT_THROW(kmeans_weighted(data, ones(data.rows()), 2, {}),
+               util::InvalidArgument);
 }
 
 TEST(KMeansRobustness, DegenerateEmbeddingStillProducesKClusters) {
@@ -159,7 +150,7 @@ TEST(KMeansRobustness, DegenerateEmbeddingStillProducesKClusters) {
     data(i, 0) = 1.0;
     data(i, 1) = 2.0;
   }
-  const auto result = kmeans(data, 3, {});
+  const auto result = kmeans_weighted(data, ones(data.rows()), 3, {});
   ASSERT_EQ(result.labels.size(), 8u);
   for (int l : result.labels) {
     EXPECT_GE(l, 0);

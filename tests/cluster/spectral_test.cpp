@@ -12,6 +12,9 @@
 namespace cwgl::cluster {
 namespace {
 
+/// One unit weight per item: a plain item set.
+std::vector<double> ones(std::size_t n) { return std::vector<double>(n, 1.0); }
+
 /// Block-structured similarity: `blocks` groups with high in-block and low
 /// cross-block similarity, plus mild noise.
 linalg::Matrix block_similarity(int blocks, int per_block, std::uint64_t seed,
@@ -42,14 +45,14 @@ linalg::Matrix block_similarity(int blocks, int per_block, std::uint64_t seed,
 TEST(Spectral, RecoversPlantedBlocks) {
   std::vector<int> truth;
   const auto w = block_similarity(3, 12, 5, &truth);
-  const auto result = spectral_cluster(w, 3);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 3);
   EXPECT_GT(adjusted_rand_index(result.labels, truth), 0.99);
 }
 
 TEST(Spectral, FiveGroupsLikeThePaper) {
   std::vector<int> truth;
   const auto w = block_similarity(5, 10, 7, &truth);
-  const auto result = spectral_cluster(w, 5);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 5);
   EXPECT_GT(adjusted_rand_index(result.labels, truth), 0.95);
 }
 
@@ -57,14 +60,14 @@ TEST(Spectral, DeterministicForSeed) {
   const auto w = block_similarity(3, 8, 9);
   SpectralOptions opt;
   opt.kmeans.seed = 17;
-  const auto a = spectral_cluster(w, 3, opt);
-  const auto b = spectral_cluster(w, 3, opt);
+  const auto a = spectral_cluster_weighted(w, ones(w.rows()), 3, opt);
+  const auto b = spectral_cluster_weighted(w, ones(w.rows()), 3, opt);
   EXPECT_EQ(a.labels, b.labels);
 }
 
 TEST(Spectral, EigenvaluesAscendingAndNearZeroFirst) {
   const auto w = block_similarity(3, 10, 11);
-  const auto result = spectral_cluster(w, 3);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 3);
   ASSERT_FALSE(result.eigenvalues.empty());
   // L_sym of a (nearly) connected graph: smallest eigenvalue ~ 0.
   EXPECT_NEAR(result.eigenvalues.front(), 0.0, 0.05);
@@ -77,13 +80,13 @@ TEST(Spectral, EigengapDetectsBlockCount) {
   // With k disconnected-ish blocks, L_sym has ~k near-zero eigenvalues and
   // a gap after them.
   const auto w = block_similarity(4, 10, 13, nullptr, 0.9, 0.01);
-  const auto result = spectral_cluster(w, 4);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 4);
   EXPECT_EQ(eigengap_k(result.eigenvalues, 10), 4);
 }
 
 TEST(Spectral, EmbeddingRowsUnitNorm) {
   const auto w = block_similarity(3, 6, 15);
-  const auto result = spectral_cluster(w, 3);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 3);
   for (std::size_t i = 0; i < result.embedding.rows(); ++i) {
     double norm = 0.0;
     for (std::size_t c = 0; c < result.embedding.cols(); ++c) {
@@ -95,7 +98,7 @@ TEST(Spectral, EmbeddingRowsUnitNorm) {
 
 TEST(Spectral, LabelsWithinRange) {
   const auto w = block_similarity(2, 5, 19);
-  const auto result = spectral_cluster(w, 2);
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 2);
   for (int l : result.labels) {
     EXPECT_GE(l, 0);
     EXPECT_LT(l, 2);
@@ -103,19 +106,23 @@ TEST(Spectral, LabelsWithinRange) {
 }
 
 TEST(Spectral, NonSquareThrows) {
-  EXPECT_THROW(spectral_cluster(linalg::Matrix(3, 4), 2), util::InvalidArgument);
+  EXPECT_THROW(spectral_cluster_weighted(linalg::Matrix(3, 4), ones(3), 2),
+               util::InvalidArgument);
 }
 
 TEST(Spectral, BadKThrows) {
   const auto w = block_similarity(2, 3, 21);
-  EXPECT_THROW(spectral_cluster(w, 0), util::InvalidArgument);
-  EXPECT_THROW(spectral_cluster(w, 7), util::InvalidArgument);
+  EXPECT_THROW(spectral_cluster_weighted(w, ones(w.rows()), 0),
+               util::InvalidArgument);
+  EXPECT_THROW(spectral_cluster_weighted(w, ones(w.rows()), 7),
+               util::InvalidArgument);
 }
 
 TEST(Spectral, NegativeSimilaritiesClamped) {
   linalg::Matrix w = linalg::Matrix::from_rows(
       {{1.0, -0.5, 0.8}, {-0.5, 1.0, 0.7}, {0.8, 0.7, 1.0}});
-  const auto result = spectral_cluster(w, 2);  // must not throw
+  // Must not throw.
+  const auto result = spectral_cluster_weighted(w, ones(w.rows()), 2);
   EXPECT_EQ(result.labels.size(), 3u);
 }
 
@@ -124,12 +131,13 @@ TEST(Spectral, PartialEigensolverRecoversBlocksToo) {
   const auto w = block_similarity(4, 20, 23, &truth);  // n = 80
   SpectralOptions partial;
   partial.partial_eigen_threshold = 0;  // force the subspace-iteration path
-  const auto via_partial = spectral_cluster(w, 4, partial);
+  const auto via_partial =
+      spectral_cluster_weighted(w, ones(w.rows()), 4, partial);
   EXPECT_GT(adjusted_rand_index(via_partial.labels, truth), 0.95);
   // And it must agree with the full Jacobi path.
   SpectralOptions full;
   full.partial_eigen_threshold = 1000;
-  const auto via_full = spectral_cluster(w, 4, full);
+  const auto via_full = spectral_cluster_weighted(w, ones(w.rows()), 4, full);
   EXPECT_GT(adjusted_rand_index(via_partial.labels, via_full.labels), 0.95);
   // Partial mode reports exactly k eigenvalues.
   EXPECT_EQ(via_partial.eigenvalues.size(), 4u);

@@ -1,9 +1,12 @@
-// Differential tests for the count-weighted clustering stages against their
-// plain counterparts run on the EXPANDED data (each row duplicated `weight`
-// times). These are the equivalence claims the shape-interned pipeline rests
-// on: weighted spectral embedding == expanded embedding (plus a padded
-// eigenvalue 1 per collapsed duplicate), weighted k-means == k-means over
-// duplicates, weighted silhouette == expanded silhouette.
+// Equivalence tests for the count-weighted clustering stages against runs on
+// the EXPANDED data (each row duplicated `weight` times). These are the
+// claims the shape-interned pipeline rests on: weighted spectral embedding ==
+// expanded embedding (plus a padded eigenvalue 1 per collapsed duplicate),
+// weighted k-means == k-means over duplicates, weighted silhouette ==
+// expanded silhouette. The expanded-run figures (partition, centers, inertia,
+// spectrum, silhouette) are recorded from plain unweighted implementations
+// of each stage; each test also checks that the weighted call on the
+// expanded input with unit weights matches the compact call.
 
 #include <gtest/gtest.h>
 
@@ -83,49 +86,58 @@ linalg::Matrix blob_rows(std::vector<std::uint64_t>* weights,
   return data;
 }
 
+/// Expands per-row labels to one label per duplicated row.
+std::vector<int> expand_labels(const std::vector<int>& labels,
+                               const std::vector<std::uint64_t>& weights) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    out.insert(out.end(), weights[i], labels[i]);
+  }
+  return out;
+}
+
 TEST(KMeansWeighted, MatchesExpandedRunOnSeparatedData) {
   std::vector<std::uint64_t> weights;
   const linalg::Matrix data = blob_rows(&weights);
-  const linalg::Matrix expanded = expand_rows(data, weights);
+  ASSERT_EQ(weights, (std::vector<std::uint64_t>{3, 2, 5, 5, 7, 4, 7, 3, 5}));
   std::vector<double> w(weights.begin(), weights.end());
-
-  const KMeansResult plain = kmeans(expanded, 3);
   const KMeansResult weighted = kmeans_weighted(data, w, 3);
+  const std::vector<int> weighted_expanded =
+      expand_labels(weighted.labels, weights);
 
-  // Expand the weighted labels and compare partitions (cluster ids may be
-  // permuted between the two runs — the RNG streams differ).
-  std::vector<int> weighted_expanded;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    for (std::uint64_t c = 0; c < weights[i]; ++c) {
-      weighted_expanded.push_back(weighted.labels[i]);
-    }
-  }
-  EXPECT_TRUE(same_partition(plain.labels, weighted_expanded));
+  // Plain k-means over the 41 expanded rows (default options).
+  const std::vector<int> expanded_labels{
+      2, 2, 2, 1, 1, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1,
+      1, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0, 0};
+  const double expanded_centers[3][2] = {
+      {-0.26224690843516102, 9.8347380149685062},
+      {9.7353780436698809, 0.29444692853277277},
+      {0.5078603100691782, 0.11918965732187013}};
+  const double expanded_inertia = 8.3914564327050201;
 
-  // Same partition => identical centroids (weighted mean == expanded mean)
-  // and identical inertia, up to the cluster-id permutation.
+  // Cluster ids may be permuted between the runs (the RNG streams differ);
+  // the same partition means identical centroids (weighted mean ==
+  // expanded mean) and identical inertia, up to that permutation.
+  EXPECT_TRUE(same_partition(expanded_labels, weighted_expanded));
   std::vector<int> perm(3, -1);
   for (std::size_t i = 0; i < weighted_expanded.size(); ++i) {
-    perm[weighted_expanded[i]] = plain.labels[i];
+    perm[weighted_expanded[i]] = expanded_labels[i];
   }
   for (int c = 0; c < 3; ++c) {
     ASSERT_GE(perm[c], 0);
     for (std::size_t d = 0; d < 2; ++d) {
-      EXPECT_NEAR(weighted.centers(c, d),
-                  plain.centers(static_cast<std::size_t>(perm[c]), d), 1e-9);
+      EXPECT_NEAR(weighted.centers(c, d), expanded_centers[perm[c]][d], 1e-9);
     }
   }
-  EXPECT_NEAR(weighted.inertia, plain.inertia, 1e-9 * (1.0 + plain.inertia));
-}
+  EXPECT_NEAR(weighted.inertia, expanded_inertia,
+              1e-9 * (1.0 + expanded_inertia));
 
-TEST(KMeansWeighted, AllWeightsOneMatchesPlainExactly) {
-  std::vector<std::uint64_t> weights;
-  const linalg::Matrix data = blob_rows(&weights, 11, 12);
-  const std::vector<double> ones(data.rows(), 1.0);
-  const KMeansResult weighted = kmeans_weighted(data, ones, 3);
-  const KMeansResult plain = kmeans(data, 3);
-  EXPECT_TRUE(same_partition(plain.labels, weighted.labels));
-  EXPECT_NEAR(weighted.inertia, plain.inertia, 1e-12 * (1.0 + plain.inertia));
+  // The same call on the expanded rows with unit weights.
+  const linalg::Matrix expanded = expand_rows(data, weights);
+  const std::vector<double> ones(expanded.rows(), 1.0);
+  const KMeansResult unit = kmeans_weighted(expanded, ones, 3);
+  EXPECT_TRUE(same_partition(unit.labels, weighted_expanded));
+  EXPECT_NEAR(unit.inertia, weighted.inertia, 1e-9 * (1.0 + weighted.inertia));
 }
 
 TEST(KMeansWeighted, RejectsBadWeights) {
@@ -161,45 +173,41 @@ TEST(SpectralWeighted, MatchesExpandedRunOnBlockData) {
   for (std::size_t i = 0; i < n; ++i) {
     weights.push_back(1 + rng.uniform_int(0, 4));
   }
-  const linalg::Matrix expanded = expand_square(sim, weights);
+  ASSERT_EQ(weights, (std::vector<std::uint64_t>{2, 4, 4, 5, 3, 4, 3, 5, 2}));
   std::vector<double> w(weights.begin(), weights.end());
-
-  const SpectralResult plain = spectral_cluster(expanded, 3);
   const SpectralResult weighted = spectral_cluster_weighted(sim, w, 3);
+  const std::vector<int> weighted_expanded =
+      expand_labels(weighted.labels, weights);
 
-  std::vector<int> weighted_expanded;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::uint64_t c = 0; c < weights[i]; ++c) {
-      weighted_expanded.push_back(weighted.labels[i]);
-    }
-  }
-  EXPECT_TRUE(same_partition(plain.labels, weighted_expanded));
+  // Plain spectral clustering of the 32 x 32 expanded matrix (default
+  // options): its partition and full ascending spectrum.
+  const std::vector<int> expanded_labels{
+      1, 1, 0, 0, 0, 0, 2, 2, 2, 2, 1, 1, 1, 1, 1, 0,
+      0, 0, 2, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0, 0, 2, 2};
+  std::vector<double> expanded_spectrum{
+      1.8364276813033123e-16, 0.13097713097713118, 0.14414414414414461};
+  expanded_spectrum.resize(32, 1.0);  // 29 eigenvalues within 5e-15 of 1
 
+  EXPECT_TRUE(same_partition(expanded_labels, weighted_expanded));
   // Eigenvalue equivalence: the expanded spectrum is the weighted spectrum
   // plus an eigenvalue 1 for every collapsed duplicate row.
-  std::size_t total = 0;
-  for (std::uint64_t wi : weights) total += wi;
-  ASSERT_EQ(plain.eigenvalues.size(), total);
+  const std::size_t total = expanded_labels.size();
   ASSERT_EQ(weighted.eigenvalues.size(), n);
   std::vector<double> padded = weighted.eigenvalues;
   padded.insert(padded.end(), total - n, 1.0);
   std::sort(padded.begin(), padded.end());
-  std::vector<double> reference = plain.eigenvalues;
-  std::sort(reference.begin(), reference.end());
   for (std::size_t i = 0; i < total; ++i) {
-    EXPECT_NEAR(padded[i], reference[i], 1e-8) << "eigenvalue " << i;
+    EXPECT_NEAR(padded[i], expanded_spectrum[i], 1e-8) << "eigenvalue " << i;
   }
-}
 
-TEST(SpectralWeighted, AllWeightsOneMatchesPlain) {
-  const linalg::Matrix sim = block_similarity(9);
-  const std::vector<double> ones(9, 1.0);
-  const SpectralResult weighted = spectral_cluster_weighted(sim, ones, 3);
-  const SpectralResult plain = spectral_cluster(sim, 3);
-  EXPECT_TRUE(same_partition(plain.labels, weighted.labels));
-  ASSERT_EQ(weighted.eigenvalues.size(), plain.eigenvalues.size());
-  for (std::size_t i = 0; i < plain.eigenvalues.size(); ++i) {
-    EXPECT_NEAR(weighted.eigenvalues[i], plain.eigenvalues[i], 1e-10);
+  // The same call on the expanded matrix with unit weights.
+  const linalg::Matrix expanded = expand_square(sim, weights);
+  const std::vector<double> ones(total, 1.0);
+  const SpectralResult unit = spectral_cluster_weighted(expanded, ones, 3);
+  EXPECT_TRUE(same_partition(unit.labels, weighted_expanded));
+  ASSERT_EQ(unit.eigenvalues.size(), total);
+  for (std::size_t i = 0; i < total; ++i) {
+    EXPECT_NEAR(unit.eigenvalues[i], padded[i], 1e-8) << "eigenvalue " << i;
   }
 }
 
@@ -225,29 +233,19 @@ TEST(SilhouetteWeighted, MatchesExpandedRun) {
   }
   const std::vector<int> labels{0, 1, 0, 1, 0, 1};
   std::vector<std::uint64_t> weights{3, 1, 2, 4, 1, 2};
-  const linalg::Matrix big = expand_square(dist, weights);
-  std::vector<int> big_labels;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::uint64_t c = 0; c < weights[i]; ++c) big_labels.push_back(labels[i]);
-  }
   std::vector<double> w(weights.begin(), weights.end());
 
-  const double expanded = silhouette_score(big, big_labels);
+  // Plain silhouette of the 13 expanded items.
+  const double expanded = 0.87805128205128224;
   const double weighted = silhouette_score_weighted(dist, w, labels);
   EXPECT_NEAR(weighted, expanded, 1e-12);
-}
 
-TEST(SilhouetteWeighted, AllWeightsOneMatchesPlain) {
-  linalg::Matrix dist(4, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      dist(i, j) = i == j ? 0.0 : ((i < 2) == (j < 2) ? 0.5 : 3.0);
-    }
-  }
-  const std::vector<int> labels{0, 0, 1, 1};
-  const std::vector<double> ones(4, 1.0);
-  EXPECT_NEAR(silhouette_score_weighted(dist, ones, labels),
-              silhouette_score(dist, labels), 1e-15);
+  // The same call on the expanded distances with unit weights.
+  const linalg::Matrix big = expand_square(dist, weights);
+  const std::vector<double> ones(big.rows(), 1.0);
+  EXPECT_NEAR(
+      silhouette_score_weighted(big, ones, expand_labels(labels, weights)),
+      weighted, 1e-12);
 }
 
 }  // namespace

@@ -115,6 +115,36 @@ TEST(Pipeline, FullRunProducesConsistentResult) {
   EXPECT_EQ(result.census.total_jobs, 1500u);
 }
 
+TEST(Pipeline, ClusterCountClampedToDistinctShapes) {
+  const auto trace = make_trace();
+  PipelineConfig cfg = small_pipeline();
+  cfg.clustering.clusters = 1000;
+  const auto result = CharacterizationPipeline(cfg).run(trace);
+  const std::size_t m = result.interned.table.size();
+  ASSERT_LT(m, 1000u);
+  // Every requested group is reported; only the first m can be filled.
+  ASSERT_EQ(result.clustering.groups.size(), 1000u);
+  std::size_t total = 0;
+  for (const ClusterGroupStats& g : result.clustering.groups) {
+    total += g.population;
+    if (static_cast<std::size_t>(g.group) >= m) {
+      EXPECT_EQ(g.population, 0u);
+    }
+  }
+  EXPECT_EQ(total, result.sample.size());
+  ASSERT_EQ(result.clustering.labels.size(), result.sample.size());
+  for (int l : result.clustering.labels) {
+    EXPECT_GE(l, 0);
+    EXPECT_LT(l, static_cast<int>(m));
+  }
+  // Medoids are jobs of their own group.
+  for (const ClusterGroupStats& g : result.clustering.groups) {
+    if (g.population == 0) continue;
+    ASSERT_LT(g.medoid, result.sample.size());
+    EXPECT_EQ(result.clustering.labels[g.medoid], g.group);
+  }
+}
+
 TEST(Pipeline, TaskTypeRowsFollowEachSampledJob) {
   const auto trace = make_trace();
   const auto result = CharacterizationPipeline(small_pipeline()).run(trace);

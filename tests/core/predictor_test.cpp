@@ -133,7 +133,8 @@ TEST(JctPredictor, GroupFeaturesAreUsable) {
   const auto sample = CharacterizationPipeline(pipe).build_sample(data);
   const auto sim = SimilarityAnalysis::compute(sample);
   ClusteringOptions copt;
-  const auto clustering = ClusteringAnalysis::compute(sim.gram, sample, copt);
+  const auto clustering = ClusteringAnalysis::compute(
+      sim.gram, sample, std::vector<std::uint64_t>(sample.size(), 1), copt);
 
   PredictorConfig cfg;
   cfg.num_groups = copt.clusters;

@@ -122,8 +122,9 @@ TEST_F(EndToEnd, CharacterizationDrivesSimulatorWithoutContradiction) {
   const core::CharacterizationPipeline pipeline(cfg);
   const auto sample = pipeline.build_sample(trace());
   const auto similarity = core::SimilarityAnalysis::compute(sample);
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, {});
+  const auto clustering = core::ClusteringAnalysis::compute(
+      similarity.gram, sample, std::vector<std::uint64_t>(sample.size(), 1),
+      {});
 
   auto jobs = sched::jobs_from_dags(sample, 1.0);
   sched::attach_hints(jobs, clustering.labels);
